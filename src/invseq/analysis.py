@@ -267,6 +267,8 @@ def fit_stretched(
     confirmed functional form.
     """
     n_max = len(counts) - 1
+    if n_max < n_min + 2:
+        raise ValueError(f"the stretched fit needs terms up to n = {n_min + 2}, got {n_max}")
     ns = np.arange(n_min, n_max + 1)
     # log of huge integers, exactly: int.bit_length-based via Fraction -> float fails,
     # so use math on the exact integers through their bit length and top bits.

@@ -3,7 +3,8 @@
 Commands: count, series, classify, asymptotics, words, verify-all.
 Output formats: a human-readable table, json-lines (one JSON object per
 row), and the OEIS b-file format ("<index> <value>" per line, no header).
-Exit status is 0 only when every requested verification passed.
+Exit status is 0 only when every requested verification passed, 1 when
+one failed, and 2 on bad input (a one-line ``error:`` on stderr).
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from typing import Iterable, Sequence
+from itertools import zip_longest
+from typing import Iterable, Iterator, Sequence
 
 from . import combinat
 from .analysis import (
@@ -22,8 +24,14 @@ from .analysis import (
     fit_stretched,
 )
 from .core import PatternSet, RelationTriple, triple_to_pattern_set
-from .gentree import ClassId, count_class
-from .oracle import BOUND_ENV_VAR, WordConstraint, count_avoiders, count_words
+from .gentree import WILF_PARTNER_PATTERNS, ClassId, count_class
+from .oracle import (
+    BOUND_ENV_VAR,
+    WordConstraint,
+    count_avoiders,
+    count_words,
+    oracle_bound,
+)
 from .series import (
     CATALYTIC_CLASSES,
     CLOSED_FORM_CLASSES,
@@ -56,29 +64,24 @@ def _emit_rows(rows: Iterable[dict], fmt: str, keys: Sequence[str]) -> None:
             print(" ".join(str(r[k]) for k in keys))
 
 
-def _parse_class(text: str) -> ClassId:
-    try:
-        return ClassId.parse(text)
-    except (KeyError, ValueError) as exc:
-        raise SystemExit(f"error: unknown class {text!r}") from exc
-
-
 def _patterns_for(args) -> PatternSet:
     if args.class_id is not None:
-        return _parse_class(args.class_id).patterns
+        return ClassId.parse(args.class_id).patterns
     if args.triple is not None:
         return triple_to_pattern_set(RelationTriple.parse(args.triple))
     return PatternSet.of(*args.patterns)
 
 
 def cmd_count(args) -> int:
+    if args.n < 0:
+        raise ValueError("--n must be nonnegative")
     engine = args.engine
     if engine is None:
         engine = "gentree" if args.class_id is not None else "oracle"
     if engine == "gentree":
         if args.class_id is None:
-            raise SystemExit("error: the gentree engine needs --class")
-        counts = count_class(_parse_class(args.class_id), args.n)
+            raise ValueError("the gentree engine needs --class")
+        counts = count_class(ClassId.parse(args.class_id), args.n)
     else:
         patterns = _patterns_for(args)
         counts = [count_avoiders(n, patterns, args.bound) for n in range(args.n + 1)]
@@ -88,16 +91,16 @@ def cmd_count(args) -> int:
 
 
 def cmd_series(args) -> int:
-    cid = _parse_class(args.class_id)
+    cid = ClassId.parse(args.class_id)
     order = args.order + 1  # coefficients through z^order
     reference = count_class(cid, args.order)
     if args.source == "catalytic":
         if cid not in CATALYTIC_CLASSES:
-            raise SystemExit(f"error: no catalytic system for class {cid.value}")
+            raise ValueError(f"no catalytic system for class {cid.value}")
         coeffs = iterate_catalytic(cid, order)
     else:
         if cid not in CLOSED_FORM_CLASSES:
-            raise SystemExit(f"error: no closed form for class {cid.value}")
+            raise ValueError(f"no closed form for class {cid.value}")
         coeffs = expand_closed_form(cid, order)
     rows = [{"n": n, "coefficient": str(c)} for n, c in enumerate(coeffs)]
     _emit_rows(rows, args.format, ("n", "coefficient"))
@@ -105,7 +108,7 @@ def cmd_series(args) -> int:
     verdicts = [("series matches counts", ok)]
     if args.verify_minpoly:
         if cid not in MINIMAL_POLYNOMIAL_DEGREE:
-            raise SystemExit(f"error: no stored annihilator for class {cid.value}")
+            raise ValueError(f"no stored annihilator for class {cid.value}")
         verdicts.append(
             (
                 f"annihilator degree {MINIMAL_POLYNOMIAL_DEGREE[cid]}",
@@ -161,7 +164,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_asymptotics(args) -> int:
-    cid = _parse_class(args.class_id)
+    cid = ClassId.parse(args.class_id)
     info = GROWTH_REFERENCE[cid]
     model = args.model
     if model is None:
@@ -224,89 +227,120 @@ def cmd_words(args) -> int:
     return 0 if row["ok"] else 1
 
 
-def _check_rules_vs_oracle(n_max: int) -> bool:
+# Depths of the verification battery: the defaults of verify-all and the
+# depths of the acceptance tests.  A series order is a number of coefficients.
+ORACLE_DEPTH = 9
+SERIES_ORDER = 61
+WORDS_MAX_K = 9
+IDENTITY_MAX_ELL = 12
+
+# Each check below yields (where, expected, got) for every comparison it
+# makes; it passes when it yields something and every pair agrees.
+Comparisons = Iterator[tuple[str, object, object]]
+
+
+def check_rules_vs_oracle(n_max: int) -> Comparisons:
     for cid in ClassId:
         counts = count_class(cid, n_max)
         for n in range(n_max + 1):
-            if counts[n] != count_avoiders(n, cid.patterns):
-                return False
-    return True
+            yield f"class {cid.value} n={n}", count_avoiders(n, cid.patterns), counts[n]
 
 
-def _check_series_agreement(order: int) -> bool:
+def check_series_agreement(order: int) -> Comparisons:
     for cid in CLOSED_FORM_CLASSES:
         reference = count_class(cid, order - 1)
-        if [Fraction(c) for c in expand_closed_form(cid, order)] != reference:
-            return False
-        if cid in CATALYTIC_CLASSES and iterate_catalytic(cid, order) != reference:
-            return False
-    return True
+        sources = [("closed form", [Fraction(c) for c in expand_closed_form(cid, order)])]
+        if cid in CATALYTIC_CLASSES:
+            sources.append(("catalytic", iterate_catalytic(cid, order)))
+        for source, coeffs in sources:
+            for n, (want, got) in enumerate(zip_longest(reference, coeffs)):
+                yield f"class {cid.value} {source} n={n}", want, got
 
 
-def _check_minimal_polynomials(order: int) -> bool:
-    return all(
-        verify_minimal_polynomial(cid, count_class(cid, order - 1))
-        for cid in MINIMAL_POLYNOMIAL_DEGREE
-    )
+def check_minimal_polynomials(order: int) -> Comparisons:
+    for cid in MINIMAL_POLYNOMIAL_DEGREE:
+        ok = verify_minimal_polynomial(cid, count_class(cid, order - 1))
+        yield f"class {cid.value} annihilator", True, ok
 
 
-def _check_kernel_roots(order: int) -> bool:
+def check_kernel_roots(order: int) -> Comparisons:
     for cid, polys in CUBIC_KERNELS.items():
         ks = [TruncatedSeries.from_poly(p, order) for p in polys]
         x = kernel_root(ks, 1, order)
-        if cid == ClassId.C1420 and [int(c) for c in x.coeffs[:5]] != [1, 2, 5, 17, 64]:
-            return False
-        acc = TruncatedSeries([Fraction(0)], order)
+        if cid is ClassId.C1420:
+            yield "class 1420 root prefix", [1, 2, 5, 17, 64], [int(c) for c in x.coeffs[:5]]
+        residual = TruncatedSeries([Fraction(0)], order)
         for k in reversed(ks):
-            acc = acc * x + k
-        if not acc.is_zero():
-            return False
-    return True
+            residual = residual * x + k
+        nonzero = sum(1 for c in residual.coeffs if c)
+        yield f"class {cid.value} nonzero residual terms", 0, nonzero
 
 
-def _check_words(k_max: int) -> bool:
+def check_words(k_max: int) -> Comparisons:
     for k in range(1, k_max + 1):
         for b in range(1, k + 1):
             for rules, (forbidden, formula) in WORD_RULESETS.items():
                 constraint = WordConstraint.of(k, b, forbidden, surjective=True)
-                if formula(k, b) != count_words(constraint, max(k, b)):
-                    return False
-    for ell in range(13):
+                yield f"{rules} k={k} b={b}", formula(k, b), count_words(constraint, k)
+    for ell in range(IDENTITY_MAX_ELL + 1):
         for b in range(ell + 1):
-            if combinat.multiplicity_m(ell, b) != sum(
-                combinat.words_R1R2(k, b) for k in range(b, ell + 1)
-            ):
-                return False
-            if combinat.multiplicity_w(ell, b) != combinat.words_R1R3(
-                ell - 1, b
-            ) + combinat.words_R1R3(ell, b):
-                return False
-    return True
+            m = sum(combinat.words_R1R2(k, b) for k in range(b, ell + 1))
+            yield f"m ell={ell} b={b}", m, combinat.multiplicity_m(ell, b)
+            w = combinat.words_R1R3(ell - 1, b) + combinat.words_R1R3(ell, b)
+            yield f"w ell={ell} b={b}", w, combinat.multiplicity_w(ell, b)
 
 
-def _check_classification() -> bool:
+def check_classification() -> Comparisons:
     tc = classify_triples()
-    return (
-        tc.n_triples == 343
-        and tc.n_pattern_classes == 98
-        and tc.n_wilf_classes == 63
-    )
+    yield "triples", 343, tc.n_triples
+    yield "equivalence classes", 98, tc.n_pattern_classes
+    yield "wilf classes", 63, tc.n_wilf_classes
+    for cid, partner in WILF_PARTNER_PATTERNS.items():
+        own, other = tc.cell_of(cid.patterns), tc.cell_of(PatternSet.of(*partner))
+        yield f"class {cid.value} vs its Wilf partner", tc.counts[own], tc.counts[other]
+
+
+def _first_failure(results: Comparisons) -> str | None:
+    """None if every comparison agrees, else a description of the first that does not.
+
+    The arguments were checked before the run, so an exception raised by a
+    check is a defect of the program and fails that check.
+    """
+    compared = False
+    try:
+        for where, expected, got in results:
+            if expected != got:
+                return f"{where}: expected {expected}, got {got}"
+            compared = True
+    except Exception as exc:
+        return f"raised {type(exc).__name__}: {exc}"
+    return None if compared else "nothing was compared"
 
 
 def cmd_verify_all(args) -> int:
+    limit = oracle_bound()
+    if not 0 <= args.n <= limit:
+        raise ValueError(
+            f"--n must be between 0 and the exhaustive-search bound {limit}"
+            f" ({BOUND_ENV_VAR} raises the bound)"
+        )
+    if args.order < 5:
+        raise ValueError("--order must be at least 5")
+    if args.max_k < 1:
+        raise ValueError("--max-k must be at least 1")
     checks = [
-        ("succession rules vs oracle", lambda: _check_rules_vs_oracle(args.n)),
-        ("closed forms vs counts", lambda: _check_series_agreement(args.order)),
-        ("minimal polynomials", lambda: _check_minimal_polynomials(args.order)),
-        ("kernel roots", lambda: _check_kernel_roots(args.order)),
-        ("word formulas", lambda: _check_words(args.max_k)),
-        ("triple classification", _check_classification),
+        ("succession rules vs oracle", check_rules_vs_oracle(args.n)),
+        ("closed forms vs counts", check_series_agreement(args.order)),
+        ("minimal polynomials", check_minimal_polynomials(args.order)),
+        ("kernel roots", check_kernel_roots(args.order)),
+        ("word formulas", check_words(args.max_k)),
+        ("triple classification", check_classification()),
     ]
     failed = False
-    for name, run in checks:
-        ok = run()
-        failed |= not ok
-        print(f"{'PASS' if ok else 'FAIL'} {name}")
+    for name, comparisons in checks:
+        failure = _first_failure(comparisons)
+        failed |= failure is not None
+        print(f"PASS {name}" if failure is None else f"FAIL {name}: {failure}")
     return 1 if failed else 0
 
 
@@ -365,17 +399,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=cmd_words)
 
     p = sub.add_parser("verify-all", help="run the full verification battery")
-    p.add_argument("--n", type=int, default=7, help="rule-vs-oracle depth")
-    p.add_argument("--order", type=int, default=31, help="series order")
-    p.add_argument("--max-k", type=int, default=7, help="word-length cap")
+    p.add_argument("--n", type=int, default=ORACLE_DEPTH, help="rule-vs-oracle depth")
+    p.add_argument(
+        "--order", type=int, default=SERIES_ORDER, help="series order (coefficients)"
+    )
+    p.add_argument("--max-k", type=int, default=WORDS_MAX_K, help="word-length cap")
     p.set_defaults(run=cmd_verify_all)
 
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.run(args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return args.run(args)
+    except ValueError as exc:
+        parser.exit(2, f"error: {exc}\n")
 
 
 if __name__ == "__main__":

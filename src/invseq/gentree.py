@@ -25,7 +25,6 @@ leading runs of zeros (p, s) or the prefix plus remaining commitments
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
 from .combinat import catalan, multiplicity_m, multiplicity_w
@@ -127,12 +126,6 @@ class Label(NamedTuple):
         return f"({inner}){'_' + self.tag if self.tag else ''}"
 
 
-@dataclass
-class LevelState:
-    depth: int
-    census: dict[Label, int]
-
-
 class RuleError(RuntimeError):
     """An expansion produced an invalid label: a rule-transcription bug."""
 
@@ -172,16 +165,7 @@ class SuccessionRule:
         return sum(cnt for label, cnt in state.items() if self.counted(label))
 
 
-def step(rule: SuccessionRule, state: LevelState) -> LevelState:
-    """One generic census update: child count = sum of parent * multiplicity."""
-    new: dict[Label, int] = {}
-    for label, cnt in state.census.items():
-        for child, mult in rule.expand(label, state.depth):
-            new[child] = new.get(child, 0) + cnt * mult
-    return LevelState(state.depth + 1, new)
-
-
-def _check_depth(label: Label, depth: int) -> None:
+def _require_depth(label: Label, depth: int) -> None:
     if label.params[0] != depth:
         raise RuleError(f"label {label} at depth {depth}: stored length disagrees")
 
@@ -212,7 +196,7 @@ class _Rule1176Family(SuccessionRule):
         tag = label.tag
         v = self.variant
         if tag == "a":
-            _check_depth(label, depth)
+            _require_depth(label, depth)
             n, h = label.params
             for i in range(h, n + 1):
                 yield Label("a", (n + 1, i)), 1
@@ -334,20 +318,43 @@ class Rule1016(_Rule1176Family):
     variant = "1016"
 
 
-class Rule830(SuccessionRule):
-    """Tracks (length, maximum h, premaximum k); tag s ends on the maximum,
-    tag t on the premaximum.  All-zero sequences take k = 0."""
+class _TwoGridRule(SuccessionRule):
+    """Right-grown rules labelled (length, h, k) under one of two tags, all
+    counted; the fast state is one h-by-k grid per tag."""
 
-    class_id = ClassId.C830
+    tags: str  # the two tag letters; the root carries the first
 
     def root(self) -> Label:
-        return Label("s", (0, 0, 0))
+        return Label(self.tags[0], (0, 0, 0))
 
     def counted(self, label: Label) -> bool:
         return True
 
+    def initial_state(self):
+        return ([[1]], [[0]])
+
+    def census_from_state(self, state, depth: int) -> dict[Label, int]:
+        out: dict[Label, int] = {}
+        for tag, grid in zip(self.tags, state):
+            for h, row in enumerate(grid):
+                for k, cnt in enumerate(row):
+                    if cnt:
+                        out[Label(tag, (depth, h, k))] = cnt
+        return out
+
+    def counted_total(self, state, depth: int) -> int:
+        return sum(sum(row) for grid in state for row in grid)
+
+
+class Rule830(_TwoGridRule):
+    """Tracks (length, maximum h, premaximum k); tag s ends on the maximum,
+    tag t on the premaximum.  All-zero sequences take k = 0."""
+
+    class_id = ClassId.C830
+    tags = "st"
+
     def expand(self, label: Label, depth: int) -> Iterator[tuple[Label, int]]:
-        _check_depth(label, depth)
+        _require_depth(label, depth)
         n, h, k = label.params
         yield Label("s", (n + 1, h, k)), 1
         for i in range(h + 1, n + 1):
@@ -361,9 +368,6 @@ class Rule830(SuccessionRule):
                 yield Label("t", (n + 1, h, i)), 1
         else:
             raise RuleError(f"unknown tag {label.tag!r}")
-
-    def initial_state(self):
-        return ([[1]], [[0]])
 
     def step_state(self, state, depth: int):
         n = depth
@@ -396,33 +400,16 @@ class Rule830(SuccessionRule):
                     pref_s += row_s[i]
         return (new_s, new_t)
 
-    def census_from_state(self, state, depth: int) -> dict[Label, int]:
-        out: dict[Label, int] = {}
-        for tag, grid in zip("st", state):
-            for h, row in enumerate(grid):
-                for k, cnt in enumerate(row):
-                    if cnt:
-                        out[Label(tag, (depth, h, k))] = cnt
-        return out
 
-    def counted_total(self, state, depth: int) -> int:
-        return sum(sum(row) for grid in state for row in grid)
-
-
-class Rule2106(SuccessionRule):
+class Rule2106(_TwoGridRule):
     """Tracks (length, maximum h, number k of still-valid descent values);
     tag p ends on the maximum, tag q strictly below it."""
 
     class_id = ClassId.C2106
-
-    def root(self) -> Label:
-        return Label("p", (0, 0, 0))
-
-    def counted(self, label: Label) -> bool:
-        return True
+    tags = "pq"
 
     def expand(self, label: Label, depth: int) -> Iterator[tuple[Label, int]]:
-        _check_depth(label, depth)
+        _require_depth(label, depth)
         n, h, k = label.params
         if label.tag == "p":
             for i in range(h, n + 1):
@@ -434,9 +421,6 @@ class Rule2106(SuccessionRule):
             raise RuleError(f"unknown tag {label.tag!r}")
         for i in range(k):
             yield Label("q", (n + 1, h, i)), 1
-
-    def initial_state(self):
-        return ([[1]], [[0]])
 
     def step_state(self, state, depth: int):
         n = depth
@@ -470,18 +454,6 @@ class Rule2106(SuccessionRule):
                     new_q[h][i] += suf_excl
         return (new_p, new_q)
 
-    def census_from_state(self, state, depth: int) -> dict[Label, int]:
-        out: dict[Label, int] = {}
-        for tag, grid in zip("pq", state):
-            for h, row in enumerate(grid):
-                for k, cnt in enumerate(row):
-                    if cnt:
-                        out[Label(tag, (depth, h, k))] = cnt
-        return out
-
-    def counted_total(self, state, depth: int) -> int:
-        return sum(sum(row) for grid in state for row in grid)
-
 
 # ---------------------------------------------------------------------------
 # Left-grown rules: labels track the runs of zeros (or commitments)
@@ -512,15 +484,6 @@ class _LeftGrownRule(SuccessionRule):
             for s, cnt in enumerate(row)
             if cnt and self.counted(Label("", (p, s)))
         )
-
-    @staticmethod
-    def _grid(state, size):
-        g = [[0] * size for _ in range(size)]
-        for p, row in enumerate(state):
-            for s, cnt in enumerate(row):
-                if cnt:
-                    g[p][s] = cnt
-        return g
 
 
 class Rule1833A(_LeftGrownRule):
@@ -843,9 +806,6 @@ class _SingleRunRule(SuccessionRule):
 
     def root(self) -> Label:
         return Label("a", (0,))
-
-    def initial_state(self):
-        return {self.root(): 1}
 
 
 class Rule663A(_SingleRunRule):

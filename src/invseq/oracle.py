@@ -34,7 +34,11 @@ class OracleBoundError(ValueError):
 def oracle_bound(override: int | None = None) -> int:
     if override is not None:
         return override
-    return int(os.environ.get(BOUND_ENV_VAR, DEFAULT_BOUND))
+    raw = os.environ.get(BOUND_ENV_VAR, str(DEFAULT_BOUND))
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"{BOUND_ENV_VAR} must be an integer, not {raw!r}") from None
 
 
 def _sign(a: int, b: int) -> int:

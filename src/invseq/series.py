@@ -237,9 +237,6 @@ class TruncatedSeries:
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
-    def __call__(self, k: int = None):
-        raise TypeError("truncated series cannot be evaluated at a point")
-
 
 def polymul(a: Sequence, b: Sequence) -> list:
     """Full (untruncated) product of coefficient lists."""

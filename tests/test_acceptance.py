@@ -1,64 +1,24 @@
 """Acceptance gate: nine criteria, one test (hence one pass/fail line) each.
 
 Run with ``pytest -v tests/test_acceptance.py`` to see the per-criterion
-verdict lines.  Tolerances are pinned in the constants below; everything
-else is exact integer or rational arithmetic.
+verdict lines.  Criteria 1 and 4-8 run the checks of ``invseq verify-all``
+at its default depths; tolerances are pinned in the constants below, and
+everything else is exact integer or rational arithmetic.
 """
 
-from fractions import Fraction
-
-import pytest
-
-from invseq.analysis import classify_triples, estimate_growth
-from invseq.combinat import multiplicity_m, multiplicity_w, words_R1R2, words_R1R3
-from invseq.core import PatternSet
-from invseq.gentree import ClassId, WILF_PARTNER_PATTERNS, count_class
-from invseq.oracle import WordConstraint, count_avoiders, count_words
-from invseq.series import (
-    CATALYTIC_CLASSES,
-    CLOSED_FORM_CLASSES,
-    CUBIC_KERNELS,
-    MINIMAL_POLYNOMIAL_DEGREE,
-    TruncatedSeries,
-    expand_closed_form,
-    iterate_catalytic,
-    kernel_root,
-    verify_minimal_polynomial,
-)
+from invseq import cli
+from invseq.analysis import ALGEBRAIC_CLASSES, GROWTH_REFERENCE, estimate_growth
+from invseq.gentree import ClassId, count_class
+from invseq.series import MINIMAL_POLYNOMIAL_DEGREE, expand_closed_form
 
 # -- pinned tolerances and reference values ---------------------------------
 
-ORACLE_DEPTH = 9
-SERIES_AGREEMENT_ORDER = 50
-MINPOLY_ORDER = 61
-KERNEL_ORDER = 51
-WORDS_MAX_K = 9
-IDENTITY_MAX_ELL = 12
-
 MU_TIGHT_TOL = 1e-3  # relative, >= 200 terms
 MU_LOOSE_TOL = 1e-2  # relative, >= 300 terms
-MU_TIGHT = {
-    ClassId.C663A: (4.73508, 210),
-    ClassId.C733: (5.16207, 210),
-    ClassId.C1016: (4.0, 210),
-    ClassId.C1176: (2 + 2 * 2 ** 0.5, 210),
-    ClassId.C1253: (4.0, 210),
-    ClassId.C1420: (27 / 5, 210),
-    ClassId.C1833A: (5.98042, 210),
-}
+MU_TIGHT = {cid: (GROWTH_REFERENCE[cid].mu, 210) for cid in ALGEBRAIC_CLASSES}
 MU_LOOSE = {
-    ClassId.C214: (4.0, 310),
-    ClassId.C830: (27 / 4, 310),
-    ClassId.C1509: (3 + 2 * 2 ** 0.5, 310),
-    ClassId.C1953A: (27 / 4, 310),
-}
-
-I7_COLUMN = {
-    ClassId.C214: 214, ClassId.C247: 247, ClassId.C663A: 663,
-    ClassId.C733: 733, ClassId.C759: 759, ClassId.C830: 830,
-    ClassId.C1016: 1016, ClassId.C1176: 1176, ClassId.C1253: 1253,
-    ClassId.C1420: 1420, ClassId.C1509: 1509, ClassId.C1833A: 1833,
-    ClassId.C1953A: 1953, ClassId.C2106: 2106,
+    cid: (GROWTH_REFERENCE[cid].mu, 310)
+    for cid in (ClassId.C214, ClassId.C830, ClassId.C1509, ClassId.C1953A)
 }
 
 PUBLISHED_PREFIXES = {
@@ -69,16 +29,20 @@ PUBLISHED_PREFIXES = {
 }
 
 
+def assert_all_agree(comparisons):
+    """Every (where, expected, got) agrees, and there is at least one."""
+    comparisons = list(comparisons)
+    assert comparisons, "the check compared nothing"
+    assert [c for c in comparisons if c[1] != c[2]] == []
+
+
 def test_criterion_1_rules_match_oracle():
-    for cid in ClassId:
-        counts = count_class(cid, ORACLE_DEPTH)
-        for n in range(ORACLE_DEPTH + 1):
-            assert counts[n] == count_avoiders(n, cid.patterns), (cid.value, n)
+    assert_all_agree(cli.check_rules_vs_oracle(cli.ORACLE_DEPTH))
 
 
 def test_criterion_2_i7_column():
-    for cid, expected in I7_COLUMN.items():
-        assert count_class(cid, 7)[7] == expected, cid.value
+    for cid in ClassId:
+        assert count_class(cid, 7)[7] == cid.i7, cid.value
 
 
 def test_criterion_3_published_series_prefixes():
@@ -88,14 +52,7 @@ def test_criterion_3_published_series_prefixes():
 
 
 def test_criterion_4_three_way_series_agreement():
-    order = SERIES_AGREEMENT_ORDER + 1
-    for cid in CLOSED_FORM_CLASSES:
-        reference = [Fraction(c) for c in count_class(cid, SERIES_AGREEMENT_ORDER)]
-        assert [Fraction(c) for c in expand_closed_form(cid, order)] == reference, (
-            cid.value
-        )
-        if cid in CATALYTIC_CLASSES:
-            assert iterate_catalytic(cid, order) == reference, cid.value
+    assert_all_agree(cli.check_series_agreement(cli.SERIES_ORDER))
 
 
 def test_criterion_5_minimal_polynomials():
@@ -104,50 +61,19 @@ def test_criterion_5_minimal_polynomials():
         ClassId.C1176: 2, ClassId.C1253: 2, ClassId.C1016: 2,
     }
     assert MINIMAL_POLYNOMIAL_DEGREE == degrees
-    for cid in degrees:
-        assert verify_minimal_polynomial(cid, count_class(cid, MINPOLY_ORDER - 1)), (
-            cid.value
-        )
+    assert_all_agree(cli.check_minimal_polynomials(cli.SERIES_ORDER))
 
 
 def test_criterion_6_kernel_roots():
-    for cid, polys in CUBIC_KERNELS.items():
-        ks = [TruncatedSeries.from_poly(p, KERNEL_ORDER) for p in polys]
-        x = kernel_root(ks, 1, KERNEL_ORDER)
-        if cid is ClassId.C1420:
-            assert [int(c) for c in x.coeffs[:5]] == [1, 2, 5, 17, 64]
-        residual = TruncatedSeries([Fraction(0)], KERNEL_ORDER)
-        for k in reversed(ks):
-            residual = residual * x + k
-        assert residual.is_zero(), cid.value
+    assert_all_agree(cli.check_kernel_roots(cli.SERIES_ORDER))
 
 
 def test_criterion_7_word_lemmas():
-    for k in range(1, WORDS_MAX_K + 1):
-        for b in range(1, k + 1):
-            c2 = WordConstraint.of(k, b, ("212", "112", "213"), surjective=True)
-            assert words_R1R2(k, b) == count_words(c2), (k, b)
-            c3 = WordConstraint.of(k, b, ("111", "212", "112", "213"), surjective=True)
-            assert words_R1R3(k, b) == count_words(c3), (k, b)
-    for ell in range(IDENTITY_MAX_ELL + 1):
-        for b in range(ell + 1):
-            assert multiplicity_m(ell, b) == sum(
-                words_R1R2(k, b) for k in range(b, ell + 1)
-            ), (ell, b)
-            assert multiplicity_w(ell, b) == words_R1R3(ell - 1, b) + words_R1R3(
-                ell, b
-            ), (ell, b)
+    assert_all_agree(cli.check_words(cli.WORDS_MAX_K))
 
 
 def test_criterion_8_classification():
-    tc = classify_triples()
-    assert tc.n_triples == 343
-    assert tc.n_pattern_classes == 98
-    assert tc.n_wilf_classes == 63
-    for cid, partner in WILF_PARTNER_PATTERNS.items():
-        cell_a = tc.cell_of(cid.patterns)
-        cell_b = tc.cell_of(PatternSet.of(*partner))
-        assert tc.counts[cell_a] == tc.counts[cell_b], cid.value
+    assert_all_agree(cli.check_classification())
 
 
 def test_criterion_9_growth_rates():

@@ -2,7 +2,10 @@ import json
 
 import pytest
 
+from invseq import cli
 from invseq.cli import main
+from invseq.gentree import ClassId
+from invseq.oracle import BOUND_ENV_VAR
 
 
 def run(capsys, *argv):
@@ -145,6 +148,35 @@ class TestWords:
         assert "formula 0" in lines
 
 
+@pytest.mark.parametrize(
+    "command, env",
+    [
+        ("count --patterns 0012 --n 3", {}),
+        ("count --triple <,?,- --n 3", {}),
+        ("count --patterns 1 --n 3", {}),
+        ("count --patterns 001 --n -1", {}),
+        ("count --class 214 --n -1", {}),
+        ("words --k 2 --b 3 --rules R1R2", {}),
+        ("asymptotics --class 1420 --terms 10", {}),
+        ("asymptotics --class 247 --terms 40", {}),
+        ("count --patterns 001 --n 3", {BOUND_ENV_VAR: "abc"}),
+        ("verify-all --n 11", {}),
+        ("verify-all --order 4", {}),
+        ("verify-all --max-k 0", {}),
+    ],
+)
+def test_bad_input_exits_2_with_one_error_line(command, env, capsys, monkeypatch):
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    with pytest.raises(SystemExit) as exc:
+        main(command.split())
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
 class TestVerifyAll:
     def test_quick_battery_passes(self, capsys):
         code, lines = run(
@@ -153,3 +185,29 @@ class TestVerifyAll:
         assert code == 0
         assert len(lines) == 6
         assert all(l.startswith("PASS") for l in lines)
+
+    def test_fail_line_names_class_and_n(self, capsys, monkeypatch):
+        count_avoiders, broken = cli.count_avoiders, ClassId.C1420.patterns
+
+        def off_by_one(n, patterns, bound=None):
+            return count_avoiders(n, patterns, bound) + (n == 4 and patterns == broken)
+
+        monkeypatch.setattr(cli, "count_avoiders", off_by_one)
+        code, lines = run(
+            capsys, "verify-all", "--n", "5", "--order", "15", "--max-k", "5"
+        )
+        assert code == 1
+        assert lines[0].startswith("FAIL succession rules vs oracle: class 1420 n=4:")
+        assert all(l.startswith("PASS") for l in lines[1:])
+
+    def test_exception_in_battery_is_a_fail_line(self, capsys, monkeypatch):
+        def broken(*args):
+            raise ValueError("not a simple root")
+
+        monkeypatch.setattr(cli, "kernel_root", broken)
+        code, lines = run(
+            capsys, "verify-all", "--n", "5", "--order", "15", "--max-k", "5"
+        )
+        assert code == 1
+        assert lines[3] == "FAIL kernel roots: raised ValueError: not a simple root"
+        assert sum(l.startswith("PASS") for l in lines) == 5
