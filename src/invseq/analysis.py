@@ -108,6 +108,8 @@ def classify_triples(n_max: int = 9, bound: int | None = None) -> TripleClassifi
     implication table have the same avoiders; Wilf classes additionally
     merge cells whose counting sequences agree up to n_max.
     """
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
     pattern_classes: dict[PatternSet, list[RelationTriple]] = {}
     for t in all_triples():
         key = close_pattern_set(triple_to_pattern_set(t))
@@ -232,6 +234,8 @@ def estimate_growth(counts: list[int], points: int = 10) -> GrowthEstimate:
     the exponent comes from extrapolating n (r_n / mu - 1).  Sample points
     are spread over the top half of the sequence.
     """
+    if points < 1:
+        raise ValueError("points must be at least 1")
     n_max = len(counts) - 2
     if n_max < 2 * points + 2:
         raise ValueError("not enough terms for the requested extrapolation depth")

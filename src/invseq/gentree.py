@@ -8,10 +8,13 @@ the label census per depth, which is polynomial-time in contrast to the
 exponential oracle.
 
 Every rule carries two implementations: ``expand``, a direct transcription
-of the succession rule used as the reference semantics, and a vectorised
-census stepper using prefix/suffix-sum aggregation so that computing a few
-hundred terms stays cheap.  The test-suite checks the two agree, and that
-both agree with the brute-force oracle.
+of the succession rule used as the reference semantics, and one census
+stepper ``step_state`` using prefix/suffix-sum aggregation so that
+computing a few hundred terms stays cheap.  The steppers of 663A, 1420 and
+the 1176 family keep one list per tag and take O(levels) big-integer
+additions per step; the grid rules take O(levels^2).  The test-suite checks
+the two implementations agree, and that both agree with the brute-force
+oracle.
 
 Label conventions: right-grown rules track statistics of the sequence end
 (``a``/``b``/``c``/``d``/``e`` progression for the 1176 family,
@@ -25,6 +28,8 @@ leading runs of zeros (p, s) or the prefix plus remaining commitments
 from __future__ import annotations
 
 import enum
+from itertools import accumulate
+from operator import add
 from typing import Iterable, Iterator, NamedTuple
 
 from .combinat import catalan, multiplicity_m, multiplicity_w
@@ -231,60 +236,18 @@ class _Rule1176Family(SuccessionRule):
         else:
             raise RuleError(f"unknown tag {tag!r}")
 
-    # fast path: five coefficient lists indexed by the label parameter
+    # fast path: five coefficient lists indexed by the label parameter, each
+    # of length depth + 1; a step appends one index.  The a and b lists step
+    # alike in all three classes, the c, d and e lists in each subclass.
 
     def initial_state(self):
         return ([1], [0], [0], [0], [0])
 
-    def step_state(self, state, depth: int):
-        n = depth
-        a, b, c, d, e = state
-        size = n + 2
-        v = self.variant
-
-        pref_a = [0] * size  # sum_{h <= i} a[h]
-        run = 0
-        for i in range(size):
-            if i < len(a):
-                run += a[i]
-            pref_a[i] = run
-
-        new_a = [pref_a[i] if i <= n else 0 for i in range(size)]
-
-        new_b = [0] * size
-        for k in range(size):
-            if k < len(b):
-                new_b[k] += b[k]
-            if k < n:
-                new_b[k] += (n - k) * pref_a[k]
-
-        new_c = [0] * size
-        for k in range(size):
-            bk = b[k] if k < len(b) else 0
-            ck = c[k] if k < len(c) else 0
-            new_c[k] = ck + bk if v == "1253" else bk
-
-        new_d = [0] * size
-        for k in range(size):
-            ck = c[k] if k < len(c) else 0
-            dk = d[k] if k < len(d) else 0
-            new_d[k] = 2 * dk + ck if v == "1253" else dk + ck
-
-        new_e = [0] * size
-        if v == "1176":
-            suf = 0  # sum over larger indices of a + d + e
-            for i in range(size - 1, -1, -1):
-                new_e[i] = suf
-                suf += (a[i] if i < len(a) else 0) + (d[i] if i < len(d) else 0) + (
-                    e[i] if i < len(e) else 0
-                )
-        else:
-            suf_a = 0
-            for i in range(size - 1, -1, -1):
-                new_e[i] = suf_a + (e[i] if v == "1253" and i < len(e) else 0)
-                suf_a += a[i] if i < len(a) else 0
-
-        return (new_a, new_b, new_c, new_d, new_e)
+    @staticmethod
+    def _step_ab(a, b, depth: int):
+        pref_a = list(accumulate(a))  # sum_{h <= k} a[h]
+        new_b = [bk + (depth - k) * pk for k, (bk, pk) in enumerate(zip(b, pref_a))]
+        return pref_a + [0], new_b + [0]
 
     def census_from_state(self, state, depth: int) -> dict[Label, int]:
         a, b, c, d, e = state
@@ -303,19 +266,46 @@ class _Rule1176Family(SuccessionRule):
         return sum(a) + sum(d) + sum(e)
 
 
+def _strict_suffix_sums(xs: list[int]) -> list[int]:
+    """[sum(xs[i + 1:]) for i in range(len(xs) + 1)]."""
+    suffix = list(accumulate(reversed(xs), initial=0))  # sums of the last i entries
+    return suffix[-2::-1] + [0]
+
+
 class Rule1176(_Rule1176Family):
     class_id = ClassId.C1176
     variant = "1176"
+
+    def step_state(self, state, depth: int):
+        a, b, c, d, e = state
+        new_a, new_b = self._step_ab(a, b, depth)
+        new_d = [ck + dk for ck, dk in zip(c, d)] + [0]
+        new_e = _strict_suffix_sums([x + y + z for x, y, z in zip(a, d, e)])
+        return (new_a, new_b, b + [0], new_d, new_e)
 
 
 class Rule1253(_Rule1176Family):
     class_id = ClassId.C1253
     variant = "1253"
 
+    def step_state(self, state, depth: int):
+        a, b, c, d, e = state
+        new_a, new_b = self._step_ab(a, b, depth)
+        new_c = [bk + ck for bk, ck in zip(b, c)] + [0]
+        new_d = [ck + 2 * dk for ck, dk in zip(c, d)] + [0]
+        new_e = [s + ek for s, ek in zip(_strict_suffix_sums(a), e + [0])]
+        return (new_a, new_b, new_c, new_d, new_e)
+
 
 class Rule1016(_Rule1176Family):
     class_id = ClassId.C1016
     variant = "1016"
+
+    def step_state(self, state, depth: int):
+        a, b, c, d, e = state
+        new_a, new_b = self._step_ab(a, b, depth)
+        new_d = [ck + dk for ck, dk in zip(c, d)] + [0]
+        return (new_a, new_b, b + [0], new_d, _strict_suffix_sums(a))
 
 
 class _TwoGridRule(SuccessionRule):
@@ -423,35 +413,26 @@ class Rule2106(_TwoGridRule):
             yield Label("q", (n + 1, h, i)), 1
 
     def step_state(self, state, depth: int):
+        # p and q are (depth + 1)-square grids.  p-labels have k <= h and
+        # q-labels k < h, so the diagonal h = k holds no q-label.
         n = depth
         p, q = state
         size = n + 2
         new_p = [[0] * size for _ in range(size)]
-        new_q = [[0] * size for _ in range(size)]
-        # p-children along diagonals of constant k - h
-        for delta in range(-n - 1, 1):
+        # p-children run along diagonals of constant h - k = d, fed by the
+        # p-labels on the diagonal and the q-labels one below it
+        run = 0
+        for k in range(n + 1):
+            run += p[k][k]
+            new_p[k][k] = run
+        for d in range(1, n + 1):
             run = 0
-            for i in range(n + 1):
-                j = i + delta
-                if 0 <= j and i < len(p) and j < len(p[i]):
-                    run += p[i][j]
-                if 0 <= j and run:
-                    new_p[i][j] += run
-                jq = i + delta + 1
-                if 0 <= jq and i < len(q) and jq < len(q[i]):
-                    run += q[i][jq]
-        # q-children: suffix sums per maximum h
-        for h in range(min(len(p), size)):
-            row = [
-                (p[h][k] if k < len(p[h]) else 0) + (q[h][k] if k < len(q[h]) else 0)
-                for k in range(max(len(p[h]), len(q[h])))
-            ]
-            suf = 0
-            for i in range(len(row) - 1, -1, -1):
-                suf_excl = suf  # mass with k > i
-                suf += row[i]
-                if suf_excl:
-                    new_q[h][i] += suf_excl
+            for k in range(n + 1 - d):
+                run += p[k + d][k] + q[k + d - 1][k]
+                new_p[k + d][k] = run
+        # q-children: per maximum h, the mass with a larger k
+        new_q = [_strict_suffix_sums(list(map(add, *rows))) for rows in zip(p, q)]
+        new_q.append([0] * size)
         return (new_p, new_q)
 
 
@@ -461,7 +442,15 @@ class Rule2106(_TwoGridRule):
 
 
 class _LeftGrownRule(SuccessionRule):
-    """Common fast-path plumbing for rules whose labels are integer pairs."""
+    """Common fast-path plumbing for rules whose labels are integer pairs.
+
+    The fast state is the grid state[p][s].  ``counted_rows`` and
+    ``counted_cols`` bound the counted labels as slice ends, p < counted_rows
+    and s < counted_cols (None: no bound); ``counted`` is the reference.
+    """
+
+    counted_rows: int | None = None
+    counted_cols: int | None = None
 
     def root(self) -> Label:
         return Label("", (0, 0))
@@ -478,12 +467,8 @@ class _LeftGrownRule(SuccessionRule):
         return out
 
     def counted_total(self, state, depth: int) -> int:
-        return sum(
-            cnt
-            for p, row in enumerate(state)
-            for s, cnt in enumerate(row)
-            if cnt and self.counted(Label("", (p, s)))
-        )
+        cols = self.counted_cols
+        return sum(sum(row[:cols]) for row in state[: self.counted_rows])
 
 
 class Rule1833A(_LeftGrownRule):
@@ -534,6 +519,7 @@ class Rule733(_LeftGrownRule):
     is exhausted (s = 0); counted labels have s = 0."""
 
     class_id = ClassId.C733
+    counted_cols = 1
 
     def counted(self, label: Label) -> bool:
         return label.params[1] == 0
@@ -577,6 +563,7 @@ class Rule733(_LeftGrownRule):
 
 class Rule214(_LeftGrownRule):
     class_id = ClassId.C214
+    counted_rows, counted_cols = 3, 1
 
     def counted(self, label: Label) -> bool:
         p, s = label.params
@@ -618,6 +605,7 @@ class Rule214(_LeftGrownRule):
 
 class Rule1509(_LeftGrownRule):
     class_id = ClassId.C1509
+    counted_cols = 2
 
     def counted(self, label: Label) -> bool:
         return label.params[1] <= 1
@@ -702,6 +690,7 @@ class Rule759(_LeftGrownRule):
     the number of admissible commitment words."""
 
     class_id = ClassId.C759
+    counted_cols = 1
 
     def counted(self, label: Label) -> bool:
         return label.params[1] == 0
@@ -754,6 +743,7 @@ class Rule247(_LeftGrownRule):
     genuine avoiders: c = 0 and p <= 2."""
 
     class_id = ClassId.C247
+    counted_rows, counted_cols = 3, 1
 
     def counted(self, label: Label) -> bool:
         p, c = label.params
@@ -802,10 +792,25 @@ class Rule247(_LeftGrownRule):
 
 
 class _SingleRunRule(SuccessionRule):
-    """Classes 663A and 1420: labels (p)_a / (p)_b with p the zero prefix."""
+    """Classes 663A and 1420: labels (p)_a / (p)_b with p the zero prefix.
+
+    The fast state is two lists a[p], b[p] of length depth + 1.  A label
+    sends mass to a whole range of p, so one suffix sum per step suffices.
+    """
 
     def root(self) -> Label:
         return Label("a", (0,))
+
+    def initial_state(self):
+        return ([1], [0])
+
+    def census_from_state(self, state, depth: int) -> dict[Label, int]:
+        return {
+            Label(tag, (p,)): cnt
+            for tag, counts in zip("ab", state)
+            for p, cnt in enumerate(counts)
+            if cnt
+        }
 
 
 class Rule663A(_SingleRunRule):
@@ -826,6 +831,24 @@ class Rule663A(_SingleRunRule):
             yield Label("b", (p + 1,)), 1
         else:
             raise RuleError(f"unknown tag {label.tag!r}")
+
+    def step_state(self, state, depth: int):
+        # new_a[k] = sum_{p >= k-1} a[p] + b[k-1]
+        # new_b[l] = sum_{p > l} a[p] + b[l-1]
+        a, b = state
+        new_a = [0] * (depth + 2)
+        new_b = [0] * (depth + 2)
+        new_b[depth + 1] = b[depth]
+        suf = 0  # sum_{q > p} a[q]
+        for p in range(depth, -1, -1):
+            if p:
+                new_b[p] = suf + b[p - 1]
+            suf += a[p]
+            new_a[p + 1] = suf + b[p]
+        return (new_a, new_b)
+
+    def counted_total(self, state, depth: int) -> int:
+        return sum(state[0])
 
 
 class Rule1420(_SingleRunRule):
@@ -849,6 +872,25 @@ class Rule1420(_SingleRunRule):
                 yield Label("b", (j,)), 1
         else:
             raise RuleError(f"unknown tag {label.tag!r}")
+
+    def step_state(self, state, depth: int):
+        # as 663A, but b-labels also feed the whole a-range:
+        # new_a[k] = sum_{p >= k-1} (a + b)[p]
+        # new_b[l] = sum_{p > l} (a + b)[p] + b[l-1]
+        a, b = state
+        new_a = [0] * (depth + 2)
+        new_b = [0] * (depth + 2)
+        new_b[depth + 1] = b[depth]
+        suf = 0  # sum_{q > p} (a + b)[q]
+        for p in range(depth, -1, -1):
+            if p:
+                new_b[p] = suf + b[p - 1]
+            suf += a[p] + b[p]
+            new_a[p + 1] = suf
+        return (new_a, new_b)
+
+    def counted_total(self, state, depth: int) -> int:
+        return sum(state[0]) + sum(state[1])
 
 
 _RULES: dict[ClassId, SuccessionRule] = {

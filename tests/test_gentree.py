@@ -12,6 +12,7 @@ from invseq.gentree import (
     rule_for,
 )
 from invseq.oracle import count_avoiders
+from invseq.series import verify_minimal_polynomial
 
 ALL_CLASSES = list(ClassId)
 
@@ -36,6 +37,9 @@ class TestClassId:
 
 @pytest.mark.parametrize("cid", ALL_CLASSES, ids=lambda c: c.value)
 class TestPerClass:
+    def test_has_its_own_fast_stepper(self, cid):
+        assert type(rule_for(cid)).step_state is not SuccessionRule.step_state
+
     def test_fast_path_matches_generic_expansion(self, cid):
         rule = rule_for(cid)
         generic = {rule.root(): 1}
@@ -61,6 +65,24 @@ class TestPerClass:
         b = count_class(cid, 12)
         assert a == b
         assert all(x <= y for x, y in zip(a, a[1:]))
+
+
+@pytest.mark.parametrize("cid", [ClassId.C663A, ClassId.C1420], ids=lambda c: c.value)
+class TestSingleRunDeep:
+    """663A and 1420 were counted by the generic path before their steppers."""
+
+    def test_counted_total_matches_generic_path(self, cid):
+        rule = rule_for(cid)
+        generic = {rule.root(): 1}
+        fast = rule.initial_state()
+        for depth in range(61):
+            expected = SuccessionRule.counted_total(rule, generic, depth)
+            assert rule.counted_total(fast, depth) == expected, depth
+            fast = rule.step_state(fast, depth)
+            generic = SuccessionRule.step_state(rule, generic, depth)
+
+    def test_minimal_polynomial_holds_to_310_terms(self, cid):
+        assert verify_minimal_polynomial(cid, count_class(cid, 310))
 
 
 class TestWilfPartners:
