@@ -159,13 +159,13 @@ class TestWords:
         ("words --k 2 --b 3 --rules R1R2", {}),
         ("asymptotics --class 1420 --terms 10", {}),
         ("asymptotics --class 247 --terms 40", {}),
-        ("asymptotics --class 1420 --terms 60 --points 0", {}),
-        ("asymptotics --class 1420 --terms 60 --points -3", {}),
-        ("classify --max-n -1", {}),
         ("count --patterns 001 --n 3", {BOUND_ENV_VAR: "abc"}),
         ("verify-all --n 11", {}),
         ("verify-all --order 4", {}),
         ("verify-all --max-k 0", {}),
+        ("asymptotics --class 1420 --terms 60 --points 0", {}),
+        ("asymptotics --class 1420 --terms 60 --points -3", {}),
+        ("classify --max-n -1", {}),
     ],
 )
 def test_bad_input_exits_2_with_one_error_line(command, env, capsys, monkeypatch):
