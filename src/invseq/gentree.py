@@ -12,9 +12,13 @@ of the succession rule used as the reference semantics, and one census
 stepper ``step_state`` using prefix/suffix-sum aggregation so that
 computing a few hundred terms stays cheap.  The steppers of 663A, 1420 and
 the 1176 family keep one list per tag and take O(levels) big-integer
-additions per step; the grid rules take O(levels^2).  The test-suite checks
-the two implementations agree, and that both agree with the brute-force
-oracle.
+additions per step.  The nine grid rules take O(levels^2), written as
+whole-row list operations from a few shared helpers: a left-grown step
+moves every row one down under a per-row "stay" (reset, shift down or
+suffix sums), then adds the jumps either along anti-diagonals or as
+Catalan-weighted columns; 830 and 2106 build each new row from prefix sums
+and the row before it.  The test-suite checks the two implementations
+agree, and that both agree with the brute-force oracle.
 
 Label conventions: right-grown rules track statistics of the sequence end
 (``a``/``b``/``c``/``d``/``e`` progression for the 1176 family,
@@ -28,11 +32,11 @@ leading runs of zeros (p, s) or the prefix plus remaining commitments
 from __future__ import annotations
 
 import enum
-from itertools import accumulate
+from itertools import accumulate, islice
 from operator import add
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
-from .combinat import catalan, multiplicity_m, multiplicity_w
+from .combinat import multiplicity_m, multiplicity_w
 from .core import PatternSet, RelationTriple
 
 
@@ -136,7 +140,13 @@ class RuleError(RuntimeError):
 
 
 class SuccessionRule:
-    """Base: census stepping via ``expand``; subclasses may add a fast path."""
+    """Base: a root, ``expand`` and ``counted``, plus census stepping on plain
+    ``{Label: count}`` dicts through ``expand``.
+
+    Every concrete rule overrides ``initial_state``, ``step_state``,
+    ``census_from_state`` and ``counted_total`` with its own compact state;
+    the dict versions here stay as the reference the tests compare with.
+    """
 
     class_id: ClassId
 
@@ -360,34 +370,22 @@ class Rule830(_TwoGridRule):
             raise RuleError(f"unknown tag {label.tag!r}")
 
     def step_state(self, state, depth: int):
-        n = depth
         s, t = state
-        size = n + 2
-        new_s = [[0] * size for _ in range(size)]
-        new_t = [[0] * size for _ in range(size)]
-        for h in range(min(len(s), size)):
-            row_s = s[h]
-            row_t = t[h]
-            u = 0  # total mass at maximum h
-            for k in range(len(row_s)):
-                m = row_s[k] + row_t[k]
-                if m:
-                    new_s[h][k] += m
-                    u += m
-            if u:
-                for i in range(h + 1, n + 1):
-                    new_s[i][h] += u
-            # t-children: from s rows need k < i, from t rows k <= i; i < h
-            pref_s = 0
-            pref_t = 0
-            for i in range(h):
-                if i < len(row_t):
-                    pref_t += row_t[i]
-                v = pref_s + pref_t
-                if v:
-                    new_t[h][i] += v
-                if i < len(row_s):
-                    pref_s += row_s[i]
+        size = depth + 2
+        mass = [list(map(add, row_s, row_t)) for row_s, row_t in zip(s, t)]
+        new_s = [[*row, 0] for row in mass] + [[0] * size]
+        # a new maximum i takes the whole mass of every maximum h < i
+        u = list(map(sum, mass))
+        for i in range(1, depth + 1):
+            row = new_s[i]
+            row[:i] = map(add, row, u[:i])
+        # t-children keep maximum h and take premaximum i < h: from s-rows
+        # every k < i, from t-rows every k <= i
+        new_t = []
+        for h, (row_s, row_t) in enumerate(zip(s, t)):
+            below = map(add, accumulate(row_s, initial=0), accumulate(row_t))
+            new_t.append([*islice(below, h)] + [0] * (size - h))
+        new_t.append([0] * size)
         return (new_s, new_t)
 
 
@@ -415,21 +413,17 @@ class Rule2106(_TwoGridRule):
     def step_state(self, state, depth: int):
         # p and q are (depth + 1)-square grids.  p-labels have k <= h and
         # q-labels k < h, so the diagonal h = k holds no q-label.
-        n = depth
         p, q = state
-        size = n + 2
-        new_p = [[0] * size for _ in range(size)]
-        # p-children run along diagonals of constant h - k = d, fed by the
-        # p-labels on the diagonal and the q-labels one below it
-        run = 0
-        for k in range(n + 1):
-            run += p[k][k]
-            new_p[k][k] = run
-        for d in range(1, n + 1):
-            run = 0
-            for k in range(n + 1 - d):
-                run += p[k + d][k] + q[k + d - 1][k]
-                new_p[k + d][k] = run
+        size = depth + 2
+        # p-children run along diagonals of constant h - k, fed by the
+        # p-labels on the diagonal and the q-labels one below it:
+        # new_p[h] = (new_p[h - 1] shifted right by one) + p[h] + q[h - 1]
+        row = zero = [0] * (depth + 1)
+        new_p = []
+        for row_p, row_q in zip(p, [zero] + q):
+            row = [x + y + z for x, y, z in zip([0] + row, row_p, row_q)]
+            new_p.append(row + [0])
+        new_p.append([0] * size)
         # q-children: per maximum h, the mass with a larger k
         new_q = [_strict_suffix_sums(list(map(add, *rows))) for rows in zip(p, q)]
         new_q.append([0] * size)
@@ -439,6 +433,60 @@ class Rule2106(_TwoGridRule):
 # ---------------------------------------------------------------------------
 # Left-grown rules: labels track the runs of zeros (or commitments)
 # ---------------------------------------------------------------------------
+
+
+def _suffix_sums(xs: list[int]) -> list[int]:
+    """[sum(xs[i:]) for i in range(len(xs))]."""
+    return list(accumulate(reversed(xs)))[::-1]
+
+
+def _pair_sums(xs: list[int]) -> list[int]:
+    """[xs[i] + xs[i + 1] for i in range(len(xs))], xs zero past its end."""
+    return list(map(add, xs, xs[1:] + [0]))
+
+
+# The stays: where the labels (p, s) of one row land in row p + 1.
+
+
+def _reset(row: list[int]) -> list[int]:
+    """(p, s) -> (p + 1, s), and also (p + 1, 0) when s > 0."""
+    return [sum(row), *row[1:], 0]
+
+
+def _shift_down(row: list[int]) -> list[int]:
+    """(p, s) -> (p + 1, s), and also (p + 1, s - 1) when s > 0."""
+    return _pair_sums(row) + [0]
+
+
+def _fall(row: list[int]) -> list[int]:
+    """(p, s) -> (p + 1, s') for every s' <= s."""
+    return _suffix_sums(row) + [0]
+
+
+def _grow(state: list[list[int]], stay) -> list[list[int]]:
+    """The next grid before the jumps: row p moves to p + 1 as stay says."""
+    return [[0] * (len(state) + 1), *map(stay, state)]
+
+
+def _add_antidiagonals(grid: list[list[int]], v: list[int]) -> list[list[int]]:
+    """grid[p][k] += v[p + k] for every p >= 1, v zero past its end."""
+    for p in range(1, len(v)):
+        row = grid[p]
+        row[: len(v) - p] = map(add, row, v[p:])
+    return grid
+
+
+def _add_catalan_columns(grid: list[list[int]], col: list[int], next_col) -> list[list[int]]:
+    """grid[p][b] += C_b * col_b[p] for every p >= 1, where C_b is the b-th
+    Catalan number, col_0 = col and col_{b+1} = next_col(col_b[1:])."""
+    b, cb = 0, 1
+    while len(col) > 1:
+        for p in range(1, len(col)):
+            grid[p][b] += cb * col[p]
+        cb = cb * 2 * (2 * b + 1) // (b + 2)
+        b += 1
+        col = next_col(col[1:])
+    return grid
 
 
 class _LeftGrownRule(SuccessionRule):
@@ -489,29 +537,8 @@ class Rule1833A(_LeftGrownRule):
                 yield Label("", (p - ell, k)), 1
 
     def step_state(self, state, depth: int):
-        size = depth + 2
-        new = [[0] * size for _ in range(size)]
-        tot = [0] * (size + 1)
-        for p, row in enumerate(state):
-            t = 0
-            for s, cnt in enumerate(row):
-                if cnt:
-                    new[p + 1][s] += cnt
-                    t += cnt
-            tot[p] = t
-            extra = t - (row[0] if row else 0)  # mass with s > 0
-            if extra:
-                new[p + 1][0] += extra
-        suf = [0] * (size + 2)
-        for j in range(size - 1, -1, -1):
-            suf[j] = suf[j + 1] + tot[j]
-        for p2 in range(1, size):
-            for k in range(size - p2):
-                v = suf[p2 + k]
-                if not v:
-                    break
-                new[p2][k] += v
-        return new
+        # a label (p, s) jumps to every (p', k) with p' >= 1 and p' + k <= p
+        return _add_antidiagonals(_grow(state, _reset), _suffix_sums(list(map(sum, state))))
 
 
 class Rule733(_LeftGrownRule):
@@ -535,30 +562,8 @@ class Rule733(_LeftGrownRule):
                     yield Label("", (p - ell, k)), 1
 
     def step_state(self, state, depth: int):
-        size = depth + 2
-        new = [[0] * size for _ in range(size)]
-        c0 = [0] * (size + 1)
-        for p, row in enumerate(state):
-            t = 0
-            for s, cnt in enumerate(row):
-                if cnt:
-                    new[p + 1][s] += cnt
-                    t += cnt
-            if row:
-                c0[p] = row[0]
-            extra = t - c0[p]
-            if extra:
-                new[p + 1][0] += extra
-        suf = [0] * (size + 2)
-        for j in range(size - 1, -1, -1):
-            suf[j] = suf[j + 1] + c0[j]
-        for p2 in range(1, size):
-            for k in range(size - p2):
-                v = suf[p2 + k]
-                if not v:
-                    break
-                new[p2][k] += v
-        return new
+        # as 1833A, with only the s = 0 column jumping
+        return _add_antidiagonals(_grow(state, _reset), _suffix_sums([row[0] for row in state]))
 
 
 class Rule214(_LeftGrownRule):
@@ -581,26 +586,8 @@ class Rule214(_LeftGrownRule):
                 yield Label("", (p - ell - 1, ell)), 1
 
     def step_state(self, state, depth: int):
-        size = depth + 2
-        new = [[0] * size for _ in range(size)]
-        c0 = [0] * (size + 2)
-        for p, row in enumerate(state):
-            for s, cnt in enumerate(row):
-                if cnt:
-                    new[p + 1][s] += cnt
-                    if s > 0:
-                        new[p + 1][s - 1] += cnt
-            if row:
-                c0[p] = row[0]
-        for p2 in range(1, size):
-            for ell in range(size - p2):
-                v = c0[p2 + ell]
-                w = c0[p2 + ell + 1] if p2 + ell + 1 < len(c0) else 0
-                if v:
-                    new[p2][ell] += v
-                if w:
-                    new[p2][ell] += w
-        return new
+        # (p, 0) jumps to the (p', k) with p' >= 1 and p' + k in {p - 1, p}
+        return _add_antidiagonals(_grow(state, _shift_down), _pair_sums([row[0] for row in state]))
 
 
 class Rule1509(_LeftGrownRule):
@@ -623,28 +610,9 @@ class Rule1509(_LeftGrownRule):
                     yield Label("", (p - ell, ell - k)), 1
 
     def step_state(self, state, depth: int):
-        size = depth + 2
-        new = [[0] * size for _ in range(size)]
-        u = [0] * (size + 1)
-        for p, row in enumerate(state):
-            for s, cnt in enumerate(row):
-                if cnt:
-                    new[p + 1][s] += cnt
-                    if s > 0:
-                        new[p + 1][s - 1] += cnt
-            u[p] = (row[0] if row else 0) + (row[1] if len(row) > 1 else 0)
-        suf = [0] * (size + 2)
-        for j in range(size - 1, -1, -1):
-            suf[j] = suf[j + 1] + u[j]
-        for p2 in range(1, size):
-            if suf[p2]:
-                new[p2][0] += suf[p2]
-            for s2 in range(1, size - p2):
-                v = suf[p2 + s2]
-                if not v:
-                    break
-                new[p2][s2] += v
-        return new
+        # (p, s <= 1) jumps to every (p', k) with p' >= 1 and p' + k <= p
+        jumps = _suffix_sums([sum(row[:2]) for row in state])
+        return _add_antidiagonals(_grow(state, _shift_down), jumps)
 
 
 class Rule1953A(_LeftGrownRule):
@@ -662,26 +630,8 @@ class Rule1953A(_LeftGrownRule):
                 yield Label("", (p + 1 - ell, k)), 1
 
     def step_state(self, state, depth: int):
-        size = depth + 2
-        new = [[0] * size for _ in range(size)]
-        tot = [0] * (size + 1)
-        for p, row in enumerate(state):
-            suf = 0
-            for s in range(len(row) - 1, -1, -1):
-                suf += row[s]
-                if suf:
-                    new[p + 1][s] += suf
-            tot[p] = suf
-        suf_tot = [0] * (size + 2)
-        for j in range(size - 1, -1, -1):
-            suf_tot[j] = suf_tot[j + 1] + tot[j]
-        for p2 in range(1, size):
-            for k in range(size - p2):
-                v = suf_tot[p2 + k]
-                if not v:
-                    break
-                new[p2][k] += v
-        return new
+        # as 1833A: every label jumps to each (p', k) with p' + k <= p
+        return _add_antidiagonals(_grow(state, _fall), _suffix_sums(list(map(sum, state))))
 
 
 class Rule759(_LeftGrownRule):
@@ -706,35 +656,10 @@ class Rule759(_LeftGrownRule):
                     yield Label("", (p - ell, b)), multiplicity_m(ell, b)
 
     def step_state(self, state, depth: int):
-        size = depth + 2
-        new = [[0] * size for _ in range(size)]
-        c0 = [0] * (size + 2)
-        for p, row in enumerate(state):
-            for c, cnt in enumerate(row):
-                if cnt:
-                    new[p + 1][c] += cnt
-                    if c > 0:
-                        new[p + 1][c - 1] += cnt
-            if row:
-                c0[p] = row[0]
-        # g[b][q] = sum_{l} binom(l, b) * c0[q + l]; Pascal recurrence in b
-        g_prev = [0] * (size + 2)
-        for q in range(size - 1, -1, -1):
-            g_prev[q] = g_prev[q + 1] + c0[q]
-        for b in range(size):
-            cb = catalan(b)
-            if b == 0:
-                g = g_prev
-            else:
-                g = [0] * (size + 2)
-                for q in range(size - 1, -1, -1):
-                    g[q] = g[q + 1] + g_prev[q + 1]
-                g_prev = g
-            for p2 in range(1, size - b):
-                v = g[p2]
-                if v:
-                    new[p2][b] += cb * v
-        return new
+        # (p, 0) jumps to (p - l, b) with weight binom(l, b) * C_b; summed
+        # over l, column b takes the b-times iterated strict suffix sums
+        c0 = [row[0] for row in state]
+        return _add_catalan_columns(_grow(state, _shift_down), _suffix_sums(c0), _suffix_sums)
 
 
 class Rule247(_LeftGrownRule):
@@ -762,33 +687,10 @@ class Rule247(_LeftGrownRule):
                         yield Label("", (p - ell, b)), w
 
     def step_state(self, state, depth: int):
-        size = depth + 2
-        new = [[0] * size for _ in range(size)]
-        c0 = [0] * (size + 3)
-        for p, row in enumerate(state):
-            for c, cnt in enumerate(row):
-                if cnt:
-                    new[p + 1][c] += cnt
-                    if c > 0:
-                        new[p + 1][c - 1] += cnt
-            if row:
-                c0[p] = row[0]
-        # e[b][q] = sum_j binom(b, j - q - b) * c0[j]
-        e_prev = list(c0)
-        for b in range(size):
-            if b == 0:
-                e = e_prev
-            else:
-                e = [0] * (size + 3)
-                for q in range(size):
-                    e[q] = e_prev[q + 1] + e_prev[q + 2]
-                e_prev = e
-            cb = catalan(b)
-            for p2 in range(1, size - b):
-                v = e[p2] + e[p2 + 1]
-                if v:
-                    new[p2][b] += cb * v
-        return new
+        # (p, 0) jumps to (p - l, b) with weight binom(b + 1, l - b) * C_b;
+        # summed over l, column b takes b + 1 shifted pairwise sums
+        c0 = [row[0] for row in state]
+        return _add_catalan_columns(_grow(state, _shift_down), _pair_sums(c0), _pair_sums)
 
 
 class _SingleRunRule(SuccessionRule):
@@ -918,9 +820,10 @@ def rule_for(class_id: ClassId) -> SuccessionRule:
     return _RULES[class_id]
 
 
-# Resumable per-class cache: counting a class to depth n once makes all
-# prefixes free, and extending continues from the last stepped state.
-_CACHE: dict[ClassId, dict] = {}
+# Resumable per-class memo of (state, counts): counting a class to depth n
+# once makes all prefixes free, and extending steps on from the stored
+# state, which is at depth len(counts) - 1.
+_MEMO: dict[ClassId, tuple[object, list[int]]] = {}
 
 
 def count_class(class_id: ClassId, n_max: int) -> list[int]:
@@ -928,24 +831,21 @@ def count_class(class_id: ClassId, n_max: int) -> list[int]:
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     rule = _RULES[class_id]
-    entry = _CACHE.get(class_id)
-    if entry is None:
+    if class_id not in _MEMO:
         state = rule.initial_state()
-        entry = {
-            "state": state,
-            "depth": 0,
-            "counts": [rule.counted_total(state, 0)],
-        }
-        _CACHE[class_id] = entry
-    while entry["depth"] < n_max:
-        entry["state"] = rule.step_state(entry["state"], entry["depth"])
-        entry["depth"] += 1
-        entry["counts"].append(rule.counted_total(entry["state"], entry["depth"]))
-    return entry["counts"][: n_max + 1]
+        _MEMO[class_id] = (state, [rule.counted_total(state, 0)])
+    state, counts = _MEMO[class_id]
+    for depth in range(len(counts) - 1, n_max):
+        state = rule.step_state(state, depth)
+        counts.append(rule.counted_total(state, depth + 1))
+        _MEMO[class_id] = (state, counts)
+    return counts[: n_max + 1]
 
 
 def label_census(class_id: ClassId, n: int) -> dict[Label, int]:
     """The full census at depth n, phantom labels included."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     rule = _RULES[class_id]
     state = rule.initial_state()
     for depth in range(n):

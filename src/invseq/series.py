@@ -488,10 +488,14 @@ CATALYTIC_CLASSES = (
 def iterate_catalytic(class_id: ClassId, order: int) -> list[Fraction]:
     """Solve the class's catalytic functional-equation system to z^(order-1)."""
     if class_id in (ClassId.C1176, ClassId.C1253, ClassId.C1016):
-        return _iterate_right_family(class_id, order)
-    if class_id in (ClassId.C663A, ClassId.C1420):
-        return _iterate_left_pair(class_id, order)
-    raise ValueError(f"no catalytic system for class {class_id.value}")
+        iterate = _iterate_right_family
+    elif class_id in (ClassId.C663A, ClassId.C1420):
+        iterate = _iterate_left_pair
+    else:
+        raise ValueError(f"no catalytic system for class {class_id.value}")
+    if order < 0:
+        raise ValueError(f"order must be nonnegative, got {order}")
+    return iterate(class_id, order)[:order]  # each iteration always yields z^0
 
 
 def _iterate_right_family(class_id: ClassId, order: int) -> list[Fraction]:

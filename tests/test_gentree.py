@@ -1,3 +1,7 @@
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 
 from invseq.combinat import multiplicity_m
@@ -12,9 +16,12 @@ from invseq.gentree import (
     rule_for,
 )
 from invseq.oracle import count_avoiders
-from invseq.series import verify_minimal_polynomial
+from invseq.series import MINIMAL_POLYNOMIAL_DEGREE, verify_minimal_polynomial
 
 ALL_CLASSES = list(ClassId)
+# sha256 digests of count_class(cid, d) for d = 10, 20, ..., 210, recorded
+# with the benchmark and cross-checked there against independent routes
+CENSUS_REFS = Path(__file__).resolve().parents[1] / "perfbench" / "refs" / "census.json"
 
 
 class TestClassId:
@@ -81,8 +88,21 @@ class TestSingleRunDeep:
             fast = rule.step_state(fast, depth)
             generic = SuccessionRule.step_state(rule, generic, depth)
 
-    def test_minimal_polynomial_holds_to_310_terms(self, cid):
-        assert verify_minimal_polynomial(cid, count_class(cid, 310))
+
+@pytest.mark.parametrize(
+    "cid", sorted(MINIMAL_POLYNOMIAL_DEGREE, key=lambda c: c.i7), ids=lambda c: c.value
+)
+def test_minimal_polynomial_holds_to_310_terms(cid):
+    assert verify_minimal_polynomial(cid, count_class(cid, 310))
+
+
+def test_counts_match_recorded_digests_to_210_terms():
+    digests = json.loads(CENSUS_REFS.read_text())["digests"]
+    for cid in ALL_CLASSES:
+        for depth in range(10, 211, 10):
+            text = ",".join(map(str, count_class(cid, depth)))
+            got = hashlib.sha256(text.encode()).hexdigest()
+            assert got == digests[cid.value][str(depth)], (cid, depth)
 
 
 class TestWilfPartners:
@@ -128,3 +148,5 @@ class TestErrors:
     def test_negative_depth(self):
         with pytest.raises(ValueError):
             count_class(ClassId.C214, -1)
+        with pytest.raises(ValueError):
+            label_census(ClassId.C830, -2)

@@ -99,6 +99,14 @@ class TestCatalytic:
         with pytest.raises(ValueError):
             iterate_catalytic(ClassId.C759, 10)
 
+    def test_returns_exactly_order_coefficients(self):
+        for order in (0, 1, 2, 7):
+            for cid in CATALYTIC_CLASSES:
+                coeffs = iterate_catalytic(cid, order)
+                assert len(coeffs) == order == len(expand_closed_form(cid, order))
+        with pytest.raises(ValueError):
+            iterate_catalytic(ClassId.C1176, -2)
+
 
 class TestMinimalPolynomials:
     @pytest.mark.parametrize("cid", sorted(MINIMAL_POLYNOMIALS, key=lambda c: c.value), ids=lambda c: c.value)
