@@ -91,6 +91,8 @@ def cmd_count(args) -> int:
 
 
 def cmd_series(args) -> int:
+    if args.order < 0:
+        raise ValueError("--order must be nonnegative")
     cid = ClassId.parse(args.class_id)
     order = args.order + 1  # coefficients through z^order
     reference = count_class(cid, args.order)

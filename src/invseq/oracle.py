@@ -1,13 +1,18 @@
 """Brute-force enumeration: the ground truth every other module is checked against.
 
-Counting is exhaustive depth-first search with prefix pruning: a prefix is
-abandoned as soon as it contains a forbidden pattern, which can never
-disappear by extending on the right.  The pattern bookkeeping uses value
-bitmasks so that checking a candidate extension is a handful of integer
-operations, but the semantics are exactly "some subsequence reduces to a
-forbidden pattern".  A separate no-pruning path (filter all n! sequences
-with :func:`invseq.core.avoids_all`) exists in the test-suite as a
-cross-check.
+A prefix is abandoned as soon as it contains a forbidden pattern, which can
+never disappear by extending on the right.  The pattern bookkeeping uses
+value bitmasks: the state of a prefix is the set of values it uses and the
+set of values that would complete a forbidden pattern, so checking a
+candidate extension is a handful of integer operations, but the semantics
+are exactly "some subsequence reduces to a forbidden pattern".
+
+What a prefix may become depends on its state alone, so counting sweeps
+forward one position at a time over a map from state to the number of
+prefixes in it (the "label = state" view of a generating tree).
+Enumeration needs the sequences themselves and stays a depth-first search;
+the test-suite checks the two against each other, and both against a
+no-pruning filter of all n! sequences with :func:`invseq.core.avoids_all`.
 """
 
 from __future__ import annotations
@@ -116,51 +121,67 @@ def _blocked_now(masks: _Masks, pairs: list, valset: int, w: int) -> bool:
     return any(valset & masks.rel_rev(r, w) for r in pairs)
 
 
-def count_avoiders(n: int, patterns: PatternSet, bound: int | None = None) -> int:
-    """|I_n(S)|, by pruned exhaustive search."""
+def _require_size(what: str, size: int, bound: int | None) -> None:
+    """Refuse a negative size, and one beyond the exhaustive-search bound."""
+    if size < 0:
+        raise ValueError(f"{what} must be nonnegative")
     limit = oracle_bound(bound)
-    if n > limit:
-        raise OracleBoundError(f"n={n} exceeds exhaustive-search bound {limit}")
+    if size > limit:
+        raise OracleBoundError(
+            f"{what} exceeds exhaustive-search bound {limit} ({BOUND_ENV_VAR} raises the bound)"
+        )
+
+
+def _sweep(
+    length: int, masks: _Masks, triples: list, pairs: list, alphabet: int | None, cover: int
+) -> int:
+    """Count the words of the given length in which no pattern occurs.
+
+    One level maps each state (valset, forb) of the prefixes of one length
+    to the number of prefixes in that state; which letters may extend a
+    prefix, and to which state, depends on its state alone.  The letters
+    at position pos are the bits of ``alphabet``, or 0..pos when it is
+    None (inversion sequences).  Every letter of ``cover`` must occur: a
+    state missing more of them than there are positions left is dropped,
+    and the last level keeps only the states that hold them all.
+    """
+    level = {(0, 0): 1}
+    for pos in range(length):
+        letters = (1 << (pos + 1)) - 1 if alphabet is None else alphabet
+        nxt: dict[tuple[int, int], int] = {}
+        for (valset, forb), mult in level.items():
+            if cover and (cover & ~valset).bit_count() > length - pos:
+                continue
+            allowed = letters & ~forb
+            while allowed:
+                bit = allowed & -allowed
+                allowed ^= bit
+                w = bit.bit_length() - 1
+                if pairs and _blocked_now(masks, pairs, valset, w):
+                    continue
+                state = (valset | bit, _new_forbidden(masks, triples, valset, w, forb))
+                nxt[state] = nxt.get(state, 0) + mult
+        level = nxt
+    return sum(mult for (valset, _), mult in level.items() if not cover & ~valset)
+
+
+def count_avoiders(n: int, patterns: PatternSet, bound: int | None = None) -> int:
+    """|I_n(S)|, by a level sweep over the states of the avoiding prefixes."""
+    _require_size(f"n={n}", n, bound)
     triples, pairs, kill_all = _compile_patterns(patterns)
     if kill_all:
         return 0
-    if n == 0:
-        return 1
-    masks = _Masks(n)
-
-    def rec(pos: int, valset: int, forb: int) -> int:
-        if pos == n:
-            return 1
-        total = 0
-        allowed = ~forb & ((1 << (pos + 1)) - 1)
-        while allowed:
-            bit = allowed & -allowed
-            allowed ^= bit
-            w = bit.bit_length() - 1
-            if pairs and _blocked_now(masks, pairs, valset, w):
-                continue
-            total += rec(
-                pos + 1,
-                valset | bit,
-                _new_forbidden(masks, triples, valset, w, forb),
-            )
-        return total
-
-    return rec(0, 0, 0)
+    return _sweep(n, _Masks(n), triples, pairs, None, 0)
 
 
 def enumerate_avoiders(
     n: int, patterns: PatternSet, bound: int | None = None
 ) -> list[InversionSequence]:
     """The avoiders themselves, in lexicographic order."""
-    limit = oracle_bound(bound)
-    if n > limit:
-        raise OracleBoundError(f"n={n} exceeds exhaustive-search bound {limit}")
+    _require_size(f"n={n}", n, bound)
     triples, pairs, kill_all = _compile_patterns(patterns)
     if kill_all:
         return []
-    if n == 0:
-        return [InversionSequence(())]
     masks = _Masks(n)
     out: list[InversionSequence] = []
     prefix: list[int] = []
@@ -200,6 +221,8 @@ class WordConstraint:
     surjective: bool = False
 
     def __post_init__(self) -> None:
+        if self.length < 0:
+            raise ValueError("word length must be nonnegative")
         if self.max_letter < 1:
             raise ValueError("alphabet must be nonempty")
         if self.surjective and self.max_letter > self.length:
@@ -221,40 +244,12 @@ class WordConstraint:
 
 
 def count_words(constraint: WordConstraint, bound: int | None = None) -> int:
-    """Count words satisfying the constraint, by pruned exhaustive search."""
-    limit = oracle_bound(bound)
+    """Count words satisfying the constraint, by a level sweep over prefix states."""
     k, b = constraint.length, constraint.max_letter
-    if k > limit or b > limit:
-        raise OracleBoundError(f"k={k}, b={b} exceeds exhaustive-search bound {limit}")
+    _require_size(f"k={k}, b={b}", max(k, b), bound)
     triples, pairs, kill_all = _compile_patterns(constraint.forbidden)
     if kill_all:
         return 0
-    if k == 0:
-        return 0 if constraint.surjective and b > 0 else 1
-    masks = _Masks(b + 1)
-    alphabet_full = ((1 << (b + 1)) - 1) & ~1  # letters 1..b
-    surjective = constraint.surjective
-
-    def rec(pos: int, valset: int, forb: int) -> int:
-        if surjective:
-            missing = bin(alphabet_full & ~valset).count("1")
-            if missing > k - pos:
-                return 0
-        if pos == k:
-            return 1
-        total = 0
-        allowed = alphabet_full & ~forb
-        while allowed:
-            bit = allowed & -allowed
-            allowed ^= bit
-            w = bit.bit_length() - 1
-            if pairs and _blocked_now(masks, pairs, valset, w):
-                continue
-            total += rec(
-                pos + 1,
-                valset | bit,
-                _new_forbidden(masks, triples, valset, w, forb),
-            )
-        return total
-
-    return rec(0, 0, 0)
+    alphabet = ((1 << (b + 1)) - 1) & ~1  # letters 1..b
+    cover = alphabet if constraint.surjective else 0
+    return _sweep(k, _Masks(b + 1), triples, pairs, alphabet, cover)

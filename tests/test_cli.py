@@ -166,6 +166,7 @@ class TestWords:
         ("asymptotics --class 1420 --terms 60 --points 0", {}),
         ("asymptotics --class 1420 --terms 60 --points -3", {}),
         ("classify --max-n -1", {}),
+        ("series --class 1176 --order -1", {}),
     ],
 )
 def test_bad_input_exits_2_with_one_error_line(command, env, capsys, monkeypatch):
@@ -178,6 +179,30 @@ def test_bad_input_exits_2_with_one_error_line(command, env, capsys, monkeypatch
     assert captured.out == ""
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "classify --max-n 11",
+        "count --patterns 001 --n 11",
+        "words --k 11 --b 2 --rules R1R2",
+    ],
+)
+def test_oracle_bound_error_names_the_variable(command, capsys, monkeypatch):
+    monkeypatch.delenv(BOUND_ENV_VAR, raising=False)
+    with pytest.raises(SystemExit) as exc:
+        main(command.split())
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "exceeds exhaustive-search bound 10" in err[0]
+    assert BOUND_ENV_VAR in err[0]
+
+
+def test_negative_series_order_names_the_option(capsys):
+    with pytest.raises(SystemExit):
+        main(["series", "--class", "1176", "--order", "-1"])
+    assert capsys.readouterr().err == "error: --order must be nonnegative\n"
 
 
 class TestVerifyAll:

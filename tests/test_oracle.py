@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from invseq.analysis import classify_triples
 from invseq.core import InversionSequence, PatternSet, avoids_all, length3_patterns
 from invseq.oracle import (
     DEFAULT_BOUND,
@@ -57,6 +58,15 @@ class TestCountAvoiders:
         assert [count_avoiders(n, ps) for n in range(7)] == [
             math.factorial(n) for n in range(7)
         ]
+
+    def test_sweep_matches_enumeration_in_every_cell(self):
+        for ps in classify_triples(0).pattern_classes:
+            for n in range(8):
+                assert count_avoiders(n, ps) == len(enumerate_avoiders(n, ps)), (str(ps), n)
+
+    def test_negative_n_is_refused(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            count_avoiders(-1, PatternSet.of("001"))
 
     @settings(max_examples=60, deadline=None)
     @given(st.sets(st.sampled_from(ALL_PATTERNS), min_size=1, max_size=4))
@@ -128,6 +138,10 @@ class TestCountWords:
 
     def test_single_letter_pattern_forbids_all(self):
         assert count_words(WordConstraint.of(4, 2, [(1,)])) == 0
+
+    def test_negative_length_is_refused(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            WordConstraint.of(-1, 2)
 
     def test_surjective_needs_enough_length(self):
         with pytest.raises(ValueError):
