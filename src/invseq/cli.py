@@ -166,6 +166,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_asymptotics(args) -> int:
+    if args.terms < 0:
+        raise ValueError("--terms must be nonnegative")
     cid = ClassId.parse(args.class_id)
     info = GROWTH_REFERENCE[cid]
     model = args.model

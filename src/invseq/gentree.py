@@ -10,15 +10,20 @@ exponential oracle.
 Every rule carries two implementations: ``expand``, a direct transcription
 of the succession rule used as the reference semantics, and one census
 stepper ``step_state`` using prefix/suffix-sum aggregation so that
-computing a few hundred terms stays cheap.  The steppers of 663A, 1420 and
-the 1176 family keep one list per tag and take O(levels) big-integer
-additions per step.  The nine grid rules take O(levels^2), written as
-whole-row list operations from a few shared helpers: a left-grown step
-moves every row one down under a per-row "stay" (reset, shift down or
-suffix sums), then adds the jumps either along anti-diagonals or as
-Catalan-weighted columns; 830 and 2106 build each new row from prefix sums
-and the row before it.  The test-suite checks the two implementations
-agree, and that both agree with the brute-force oracle.
+computing a few hundred terms stays cheap.  The stepper runs on a compact
+state of the rule's own, which need not encode the whole label census: it
+only has to be closed under the step and give the term, ``counted_total``.
+The steppers of 663A, 1420 and the 1176 family keep one list per tag; 733
+and 1833A keep the row sums and the s = 0 column of their (p, s) grid.
+These take O(levels) big-integer additions per step.  The seven grid rules
+take O(levels^2), written as whole-row list operations from a few shared
+helpers: a left-grown step moves every row one down under a per-row "stay"
+(shift down or suffix sums), then adds the jumps either along
+anti-diagonals or as Catalan-weighted columns; 830 and 2106 build each new
+row from prefix sums and the row before it.  ``label_census`` runs the
+reference expansion.  The test-suite checks that every fast state is a
+projection of the reference census, and that both agree with the
+brute-force oracle.
 
 Label conventions: right-grown rules track statistics of the sequence end
 (``a``/``b``/``c``/``d``/``e`` progression for the 1176 family,
@@ -143,9 +148,10 @@ class SuccessionRule:
     """Base: a root, ``expand`` and ``counted``, plus census stepping on plain
     ``{Label: count}`` dicts through ``expand``.
 
-    Every concrete rule overrides ``initial_state``, ``step_state``,
-    ``census_from_state`` and ``counted_total`` with its own compact state;
-    the dict versions here stay as the reference the tests compare with.
+    Every concrete rule adds ``initial_state`` and overrides ``step_state``
+    and ``counted_total`` with its own compact state, closed under the step;
+    the dict versions here are the reference the tests compare with and the
+    path ``label_census`` runs.
     """
 
     class_id: ClassId
@@ -159,10 +165,7 @@ class SuccessionRule:
     def counted(self, label: Label) -> bool:
         raise NotImplementedError
 
-    # -- fast path; default delegates to expand on plain census dicts --
-
-    def initial_state(self):
-        return {self.root(): 1}
+    # -- reference census stepping on plain dicts, through expand --
 
     def step_state(self, state, depth: int):
         new: dict[Label, int] = {}
@@ -172,9 +175,6 @@ class SuccessionRule:
                     raise RuleError(f"{self.class_id}: bad multiplicity for {child}")
                 new[child] = new.get(child, 0) + cnt * mult
         return new
-
-    def census_from_state(self, state, depth: int) -> dict[Label, int]:
-        return dict(state)
 
     def counted_total(self, state, depth: int) -> int:
         return sum(cnt for label, cnt in state.items() if self.counted(label))
@@ -259,18 +259,6 @@ class _Rule1176Family(SuccessionRule):
         new_b = [bk + (depth - k) * pk for k, (bk, pk) in enumerate(zip(b, pref_a))]
         return pref_a + [0], new_b + [0]
 
-    def census_from_state(self, state, depth: int) -> dict[Label, int]:
-        a, b, c, d, e = state
-        out: dict[Label, int] = {}
-        for h, cnt in enumerate(a):
-            if cnt:
-                out[Label("a", (depth, h))] = cnt
-        for tag, arr in (("b", b), ("c", c), ("d", d), ("e", e)):
-            for k, cnt in enumerate(arr):
-                if cnt:
-                    out[Label(tag, (k,))] = cnt
-        return out
-
     def counted_total(self, state, depth: int) -> int:
         a, b, c, d, e = state
         return sum(a) + sum(d) + sum(e)
@@ -332,15 +320,6 @@ class _TwoGridRule(SuccessionRule):
 
     def initial_state(self):
         return ([[1]], [[0]])
-
-    def census_from_state(self, state, depth: int) -> dict[Label, int]:
-        out: dict[Label, int] = {}
-        for tag, grid in zip(self.tags, state):
-            for h, row in enumerate(grid):
-                for k, cnt in enumerate(row):
-                    if cnt:
-                        out[Label(tag, (depth, h, k))] = cnt
-        return out
 
     def counted_total(self, state, depth: int) -> int:
         return sum(sum(row) for grid in state for row in grid)
@@ -448,11 +427,6 @@ def _pair_sums(xs: list[int]) -> list[int]:
 # The stays: where the labels (p, s) of one row land in row p + 1.
 
 
-def _reset(row: list[int]) -> list[int]:
-    """(p, s) -> (p + 1, s), and also (p + 1, 0) when s > 0."""
-    return [sum(row), *row[1:], 0]
-
-
 def _shift_down(row: list[int]) -> list[int]:
     """(p, s) -> (p + 1, s), and also (p + 1, s - 1) when s > 0."""
     return _pair_sums(row) + [0]
@@ -490,7 +464,8 @@ def _add_catalan_columns(grid: list[list[int]], col: list[int], next_col) -> lis
 
 
 class _LeftGrownRule(SuccessionRule):
-    """Common fast-path plumbing for rules whose labels are integer pairs.
+    """Common fast-path plumbing for the left-grown rules that keep their
+    whole grid of integer-pair labels.
 
     The fast state is the grid state[p][s].  ``counted_rows`` and
     ``counted_cols`` bound the counted labels as slice ends, p < counted_rows
@@ -506,23 +481,51 @@ class _LeftGrownRule(SuccessionRule):
     def initial_state(self):
         return [[1]]
 
-    def census_from_state(self, state, depth: int) -> dict[Label, int]:
-        out: dict[Label, int] = {}
-        for p, row in enumerate(state):
-            for s, cnt in enumerate(row):
-                if cnt:
-                    out[Label("", (p, s))] = cnt
-        return out
-
     def counted_total(self, state, depth: int) -> int:
         cols = self.counted_cols
         return sum(sum(row[:cols]) for row in state[: self.counted_rows])
 
 
-class Rule1833A(_LeftGrownRule):
+class _ResetRule(SuccessionRule):
+    """733 and 1833A: labels (p, s), the lengths of the two runs of zeros.
+
+    A label (p, s) stays as (p + 1, s), and also as (p + 1, 0) when s > 0;
+    the counted labels, and only they, jump to every (p', k) with p' >= 1
+    and p' + k <= p.  The step reads the (p, s) grid only through its row
+    sums r[p] and its s = 0 column z[p], and yields both again, so the fast
+    state is the pair (r, z); ``counted_vector`` picks the one that sums
+    the counted labels.
+    """
+
+    counted_vector: int  # 0: r, every label counted; 1: z, those with s = 0
+
+    def root(self) -> Label:
+        return Label("", (0, 0))
+
+    def initial_state(self):
+        return ([1], [1])
+
+    def step_state(self, state, depth: int):
+        # The stays move row p to row p + 1 with sum 2 r[p] - z[p] and s = 0
+        # entry r[p].  With v the suffix sums of the counted vector, the
+        # jumps add v[p + k] to each (p, k), p >= 1: v[p] at s = 0 and
+        # sum_{j >= p} v[j] to the row.
+        r, z = state
+        v = _suffix_sums(state[self.counted_vector])
+        row_jumps = _suffix_sums(v)[1:] + [0]
+        new_r = [0] + [2 * x - y + w for x, y, w in zip(r, z, row_jumps)]
+        new_z = [0, *map(add, r, v[1:] + [0])]
+        return (new_r, new_z)
+
+    def counted_total(self, state, depth: int) -> int:
+        return sum(state[self.counted_vector])
+
+
+class Rule1833A(_ResetRule):
     """(p, s) = lengths of the two runs of zeros; every label is counted."""
 
     class_id = ClassId.C1833A
+    counted_vector = 0
 
     def counted(self, label: Label) -> bool:
         return True
@@ -536,17 +539,13 @@ class Rule1833A(_LeftGrownRule):
             for k in range(ell + 1):
                 yield Label("", (p - ell, k)), 1
 
-    def step_state(self, state, depth: int):
-        # a label (p, s) jumps to every (p', k) with p' >= 1 and p' + k <= p
-        return _add_antidiagonals(_grow(state, _reset), _suffix_sums(list(map(sum, state))))
 
-
-class Rule733(_LeftGrownRule):
+class Rule733(_ResetRule):
     """As 1833A, but zeros in the prefix may only move when the suffix run
     is exhausted (s = 0); counted labels have s = 0."""
 
     class_id = ClassId.C733
-    counted_cols = 1
+    counted_vector = 1
 
     def counted(self, label: Label) -> bool:
         return label.params[1] == 0
@@ -560,10 +559,6 @@ class Rule733(_LeftGrownRule):
             for ell in range(p):
                 for k in range(ell + 1):
                     yield Label("", (p - ell, k)), 1
-
-    def step_state(self, state, depth: int):
-        # as 1833A, with only the s = 0 column jumping
-        return _add_antidiagonals(_grow(state, _reset), _suffix_sums([row[0] for row in state]))
 
 
 class Rule214(_LeftGrownRule):
@@ -706,14 +701,6 @@ class _SingleRunRule(SuccessionRule):
     def initial_state(self):
         return ([1], [0])
 
-    def census_from_state(self, state, depth: int) -> dict[Label, int]:
-        return {
-            Label(tag, (p,)): cnt
-            for tag, counts in zip("ab", state)
-            for p, cnt in enumerate(counts)
-            if cnt
-        }
-
 
 class Rule663A(_SingleRunRule):
     class_id = ClassId.C663A
@@ -843,11 +830,12 @@ def count_class(class_id: ClassId, n_max: int) -> list[int]:
 
 
 def label_census(class_id: ClassId, n: int) -> dict[Label, int]:
-    """The full census at depth n, phantom labels included."""
+    """The full census at depth n, phantom labels included, by the reference
+    expansion; its cost grows with the number of labels, so keep n small."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     rule = _RULES[class_id]
-    state = rule.initial_state()
+    census = {rule.root(): 1}
     for depth in range(n):
-        state = rule.step_state(state, depth)
-    return rule.census_from_state(state, n)
+        census = SuccessionRule.step_state(rule, census, depth)
+    return census

@@ -629,15 +629,7 @@ MINIMAL_POLYNOMIALS: dict[ClassId, list[list]] = {
     ),
 }
 
-MINIMAL_POLYNOMIAL_DEGREE = {
-    ClassId.C663A: 3,
-    ClassId.C1420: 3,
-    ClassId.C733: 4,
-    ClassId.C1833A: 6,
-    ClassId.C1176: 2,
-    ClassId.C1253: 2,
-    ClassId.C1016: 2,
-}
+MINIMAL_POLYNOMIAL_DEGREE = {cid: len(poly) - 1 for cid, poly in MINIMAL_POLYNOMIALS.items()}
 
 
 def verify_minimal_polynomial(class_id: ClassId, coeffs: Sequence) -> bool:

@@ -205,6 +205,12 @@ def test_negative_series_order_names_the_option(capsys):
     assert capsys.readouterr().err == "error: --order must be nonnegative\n"
 
 
+def test_negative_asymptotics_terms_names_the_option(capsys):
+    with pytest.raises(SystemExit):
+        main(["asymptotics", "--class", "1420", "--terms", "-3"])
+    assert capsys.readouterr().err == "error: --terms must be nonnegative\n"
+
+
 class TestVerifyAll:
     def test_quick_battery_passes(self, capsys):
         code, lines = run(
