@@ -1,9 +1,10 @@
 """Exact truncated power series and the algebraic generating functions.
 
-Everything here is exact arithmetic: series coefficients are
-``fractions.Fraction`` (or quadratic-field numbers, see :class:`QSqrt5`),
-so agreement between two computations is literal equality of rationals,
-not a floating-point tolerance.
+Everything here is exact arithmetic: series coefficients are Python
+``int`` wherever they are integral, ``fractions.Fraction`` only where a
+division is inexact (see :func:`_div`), and quadratic-field numbers where
+needed (see :class:`QSqrt5`), so agreement between two computations is
+literal equality of rationals, not a floating-point tolerance.
 
 Three independent routes to the counting series exist for the algebraic
 classes: the generating-tree census (:mod:`invseq.gentree`), the closed
@@ -14,8 +15,8 @@ iteration of the catalytic functional equations
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from .gentree import ClassId
@@ -112,6 +113,14 @@ class QSqrt5:
 SQRT5 = QSqrt5(0, 1)
 
 
+def _div(x, d):
+    """x / d exactly: an int when both are ints and d divides x, else a Fraction."""
+    if type(x) is int and type(d) is int:
+        q, r = divmod(x, d)
+        return Fraction(x, d) if r else q
+    return x / d
+
+
 class TruncatedSeries:
     """A power series known modulo z^order, with exact coefficients."""
 
@@ -123,7 +132,7 @@ class TruncatedSeries:
             order = len(cs)
         if order < 1:
             raise ValueError("order must be at least 1")
-        zero = cs[0] * 0 if cs else Fraction(0)
+        zero = cs[0] * 0 if cs else 0
         cs = cs[:order] + [zero] * (order - len(cs))
         self.coeffs = cs
         self.order = order
@@ -131,7 +140,7 @@ class TruncatedSeries:
     @classmethod
     def from_poly(cls, coeffs: Sequence, order: int) -> "TruncatedSeries":
         """A polynomial in z, viewed as a series to the given order."""
-        return cls([Fraction(c) if isinstance(c, int) else c for c in coeffs], order)
+        return cls(coeffs, order)
 
     @property
     def zero_coeff(self):
@@ -178,16 +187,8 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return TruncatedSeries([c * other for c in self.coeffs], self.order)
         n = min(self.order, other.order)
-        zero = self.zero_coeff
-        out = [zero] * n
-        for i, a in enumerate(self.coeffs[:n]):
-            if not a:
-                continue
-            for j in range(n - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] = out[i + j] + a * b
-        return TruncatedSeries(out, n)
+        a, b = self.coeffs, other.coeffs
+        return TruncatedSeries([sum(map(mul, a, b[k::-1])) for k in range(n)], n)
 
     __rmul__ = __mul__
 
@@ -195,17 +196,15 @@ class TruncatedSeries:
         c0 = self.coeffs[0]
         if not c0:
             raise ZeroDivisionError("series has no inverse: zero constant term")
-        b0 = 1 / c0 if not isinstance(c0, Fraction) else Fraction(1) / c0
-        out = [b0]
+        a, out = self.coeffs, [_div(1, c0)]
         for n in range(1, self.order):
-            acc = self.zero_coeff
-            for i in range(1, n + 1):
-                acc = acc + self.coeffs[i] * out[n - i]
-            out.append(-b0 * acc)
+            out.append(_div(-sum(map(mul, a[n:0:-1], out)), c0))
         return TruncatedSeries(out, self.order)
 
     def __truediv__(self, other):
-        return self * self._wrap(other).inverse()
+        if not isinstance(other, TruncatedSeries):
+            return TruncatedSeries([_div(c, other) for c in self.coeffs], self.order)
+        return self * other.inverse()
 
     def __rtruediv__(self, other):
         return self._wrap(other) / self
@@ -222,16 +221,14 @@ class TruncatedSeries:
     def sqrt(self, const_root=None) -> "TruncatedSeries":
         """The square root with constant term const_root (default 1)."""
         if const_root is None:
-            const_root = Fraction(1)
+            const_root = 1
         if const_root * const_root != self.coeffs[0]:
             raise ValueError("const_root squared must equal the constant term")
         out = [const_root]
         twice = const_root + const_root
         for n in range(1, self.order):
-            acc = self.zero_coeff
-            for i in range(1, n):
-                acc = acc + out[i] * out[n - i]
-            out.append((self.coeffs[n] - acc) / twice)
+            acc = sum(map(mul, out[1:n], out[n - 1 : 0 : -1]))
+            out.append(_div(self.coeffs[n] - acc, twice))
         return TruncatedSeries(out, self.order)
 
     def is_zero(self) -> bool:
@@ -257,10 +254,10 @@ def kernel_root(
     valuation doubles per step.
     """
     ks = [TruncatedSeries(k.coeffs, order) for k in kernel]
-    x = TruncatedSeries([Fraction(x0)], order)
+    x = TruncatedSeries([x0], order)
 
     def horner(cs, v):
-        acc = TruncatedSeries([Fraction(0)], order)
+        acc = TruncatedSeries([0], order)
         for c in reversed(cs):
             acc = acc * v + c
         return acc
@@ -296,18 +293,15 @@ def hensel_quadratic_factors(
     """
 
     def coeff(poly, n):
-        return Fraction(poly[n]) if n < len(poly) else Fraction(0)
+        return poly[n] if n < len(poly) else 0
 
     if (coeff(p3, 0), coeff(p2, 0), coeff(p1, 0), coeff(p0, 0)) != (0, 1, -2, 1):
         raise ValueError("quartic does not degenerate to (x - 1)^2 at z = 0")
 
-    a = [Fraction(0)]
-    b = [Fraction(1)]
-    c = [Fraction(-2)]
-    d = [Fraction(1)]
+    a, b, c, d = [0], [1], [-2], [1]
 
     def mid(u, v, n):
-        return sum((u[i] * v[n - i] for i in range(1, n)), Fraction(0))
+        return sum(map(mul, u[1:n], v[n - 1 : 0 : -1]))
 
     for n in range(1, order):
         an = coeff(p3, n) - (c[n - 2] if n >= 2 else 0)
@@ -387,24 +381,28 @@ CLOSED_FORM_CLASSES = (
 )
 
 
-def expand_closed_form(class_id: ClassId, order: int) -> list[Fraction]:
-    """Coefficients of the solved generating function, exact to z^(order-1)."""
+def expand_closed_form(class_id: ClassId, order: int) -> list[int]:
+    """Coefficients of the solved generating function, exact to z^(order-1).
+
+    They are ints: each denominator is monic but for a factor 8 or 2,
+    divided out last from coefficients that are multiples of it.
+    """
     n = order + 2  # headroom for the valuation shifts
     P = lambda *cs: TruncatedSeries.from_poly(cs, n)
     if class_id == ClassId.C1176:
         s = _sqrt_poly([1, -4, -4], n)
         num = P(2, 1, -10, 4) - P(2, -3) * s
-        f = num.shift(-1) / (8 * P(1, -1) * P(1, -1))
+        f = num.shift(-1) / (P(1, -1) * P(1, -1)) / 8
     elif class_id == ClassId.C1253:
         s = _sqrt_poly([1, -4], n)
         num = P(2, -15, 32, -16) + P(0, 1) * P(1, -2) * P(1, 2) * s
-        den = 2 * P(1, -1) * P(1, -1) * P(1, -2) * P(1, -4)
-        f = num / den
+        den = P(1, -1) * P(1, -1) * P(1, -2) * P(1, -4)
+        f = num / den / 2
     elif class_id == ClassId.C1016:
         s = _sqrt_poly([1, -4], n)
         num = P(1, -4) * P(1, -2) * P(3, -2) - P(1, -8, 12, -2) * s
-        den = 2 * P(1, -1) * P(1, -1) * P(1, -4)
-        f = num / den
+        den = P(1, -1) * P(1, -1) * P(1, -4)
+        f = num / den / 2
     elif class_id == ClassId.C663A:
         kern = [TruncatedSeries.from_poly(cs, n) for cs in CUBIC_KERNELS[class_id]]
         x = kernel_root(kern, 1, n)
@@ -438,42 +436,42 @@ def expand_closed_form(class_id: ClassId, order: int) -> list[Fraction]:
 # ---------------------------------------------------------------------------
 
 
-def _div_1mx(p: list[Fraction]) -> list[Fraction]:
+def _div_1mx(p: list[int]) -> list[int]:
     """Divide the polynomial p(x) by (1 - x); p(1) = 0 is required."""
     out = []
-    run = Fraction(0)
+    run = 0
     for c in p:
         run += c
         out.append(run)
     if run != 0:
         raise ArithmeticError("polynomial not divisible by (1 - x)")
     out.pop()
-    return out or [Fraction(0)]
+    return out or [0]
 
 
-def _padd(*ps: Sequence[Fraction]) -> list[Fraction]:
+def _padd(*ps: Sequence[int]) -> list[int]:
     n = max(len(p) for p in ps)
-    return [sum((p[i] for p in ps if i < len(p)), Fraction(0)) for i in range(n)]
+    return [sum(p[i] for p in ps if i < len(p)) for i in range(n)]
 
 
-def _pneg(p: Sequence[Fraction]) -> list[Fraction]:
+def _pneg(p: Sequence[int]) -> list[int]:
     return [-c for c in p]
 
 
-def _pscale(p: Sequence[Fraction], k) -> list[Fraction]:
+def _pscale(p: Sequence[int], k) -> list[int]:
     return [c * k for c in p]
 
 
-def _xshift(p: Sequence[Fraction]) -> list[Fraction]:
-    return [Fraction(0), *p]
+def _xshift(p: Sequence[int]) -> list[int]:
+    return [0, *p]
 
 
-def _const(c) -> list[Fraction]:
-    return [Fraction(c)]
+def _const(c) -> list[int]:
+    return [c]
 
 
-def _p1(p: Sequence[Fraction]) -> Fraction:
-    return sum(p, Fraction(0))
+def _p1(p: Sequence[int]) -> int:
+    return sum(p)
 
 
 CATALYTIC_CLASSES = (
@@ -485,7 +483,7 @@ CATALYTIC_CLASSES = (
 )
 
 
-def iterate_catalytic(class_id: ClassId, order: int) -> list[Fraction]:
+def iterate_catalytic(class_id: ClassId, order: int) -> list[int]:
     """Solve the class's catalytic functional-equation system to z^(order-1)."""
     if class_id in (ClassId.C1176, ClassId.C1253, ClassId.C1016):
         iterate = _iterate_right_family
@@ -498,7 +496,7 @@ def iterate_catalytic(class_id: ClassId, order: int) -> list[Fraction]:
     return iterate(class_id, order)[:order]  # each iteration always yields z^0
 
 
-def _iterate_right_family(class_id: ClassId, order: int) -> list[Fraction]:
+def _iterate_right_family(class_id: ClassId, order: int) -> list[int]:
     """The five-function system shared by classes 1176, 1253 and 1016.
 
     A tracks the non-decreasing part, B/C/D the staged growth through a
@@ -510,15 +508,15 @@ def _iterate_right_family(class_id: ClassId, order: int) -> list[Fraction]:
     C = _const(0)
     D = _const(0)
     E = _const(0)
-    out = [Fraction(1)]
+    out = [1]
     for n in range(1, order):
         alpha = _p1(A)
         # A(z,x) = 1 + z/(1-x) (A - x A(zx, 1))
-        monomial = [Fraction(0)] * n + [alpha]
+        monomial = [0] * n + [alpha]
         A_new = _div_1mx(_padd(A, _pneg(monomial)))
         # B = zB + z/(1-x) (z dA/dz - x dA/dx + x/(1-x) (A(zx,1) - A))
         inner = _div_1mx(
-            _xshift(_padd([Fraction(0)] * (n - 1) + [alpha], _pneg(A)))
+            _xshift(_padd([0] * (n - 1) + [alpha], _pneg(A)))
         )
         dz = _pscale(A, n - 1)
         dx = _xshift([i * c for i, c in enumerate(A)][1:]) if len(A) > 1 else _const(0)
@@ -547,7 +545,7 @@ def _iterate_right_family(class_id: ClassId, order: int) -> list[Fraction]:
     return out
 
 
-def _iterate_left_pair(class_id: ClassId, order: int) -> list[Fraction]:
+def _iterate_left_pair(class_id: ClassId, order: int) -> list[int]:
     """The two-function systems for classes 663A and 1420.
 
     A(x) and B(x) track the leading-zero count x; for 663A only A(1)
@@ -555,7 +553,7 @@ def _iterate_left_pair(class_id: ClassId, order: int) -> list[Fraction]:
     """
     A = _const(1)
     B = _const(0)
-    out = [Fraction(1)]
+    out = [1]
     for n in range(1, order):
         alpha, beta = _p1(A), _p1(B)
         if class_id == ClassId.C663A:
@@ -636,7 +634,7 @@ def verify_minimal_polynomial(class_id: ClassId, coeffs: Sequence) -> bool:
     """Check P(z, F) = 0 mod z^len(coeffs) for the stored annihilator."""
     poly = MINIMAL_POLYNOMIALS[class_id]
     order = len(coeffs)
-    f = TruncatedSeries([Fraction(c) for c in coeffs], order)
+    f = TruncatedSeries(coeffs, order)
     acc = TruncatedSeries.from_poly(poly[-1], order)
     for cs in reversed(poly[:-1]):
         acc = acc * f + TruncatedSeries.from_poly(cs, order)

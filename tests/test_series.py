@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from invseq.cli import SERIES_ORDER
 from invseq.gentree import ClassId, count_class
 from invseq.series import (
     CATALYTIC_CLASSES,
@@ -40,6 +41,10 @@ class TestQSqrt5:
         assert abs(float(SQRT5) - 5 ** 0.5) < 1e-12
 
 
+def _all_ints(coeffs):
+    return all(type(c) is int for c in coeffs)
+
+
 class TestTruncatedSeries:
     def test_geometric_inverse(self):
         one_minus_z = TruncatedSeries.from_poly([1, -1], 8)
@@ -60,6 +65,41 @@ class TestTruncatedSeries:
         b = a * a
         assert b.order == 4
         assert b.coeffs == [Fraction(c) for c in (1, 2, 1, 0)]
+
+    def test_integer_series_divide_exactly(self):
+        inv2 = TruncatedSeries([2, 1], 4).inverse().coeffs
+        inv1 = TruncatedSeries([1, 1], 4).inverse().coeffs
+        root = TruncatedSeries([1, 1], 4).sqrt(1).coeffs
+        half = (TruncatedSeries([2, 4, 3], 3) / 2).coeffs
+        assert inv2 == [Fraction(1, 2), Fraction(-1, 4), Fraction(1, 8), Fraction(-1, 16)]
+        assert inv1 == [1, -1, 1, -1]
+        assert root == [1, Fraction(1, 2), Fraction(-1, 8), Fraction(1, 16)]
+        assert half == [1, 2, Fraction(3, 2)]
+        # a float compares equal to its Fraction, so the types are checked too
+        assert not any(isinstance(c, float) for c in inv2 + inv1 + root + half)
+        assert _all_ints(inv1 + half[:2])
+
+
+class TestIntegerCoefficients:
+    """Integral series stay Python ints; a stray Fraction would only cost time."""
+
+    @pytest.mark.parametrize("cid", CLOSED_FORM_CLASSES, ids=lambda c: c.value)
+    def test_closed_form(self, cid):
+        assert _all_ints(expand_closed_form(cid, SERIES_ORDER))
+
+    @pytest.mark.parametrize("cid", CATALYTIC_CLASSES, ids=lambda c: c.value)
+    def test_catalytic(self, cid):
+        assert _all_ints(iterate_catalytic(cid, SERIES_ORDER))
+
+    @pytest.mark.parametrize("cid", CUBIC_KERNELS, ids=lambda c: c.value)
+    def test_kernel_root(self, cid):
+        ks = [TruncatedSeries.from_poly(p, SERIES_ORDER) for p in CUBIC_KERNELS[cid]]
+        assert _all_ints(kernel_root(ks, 1, SERIES_ORDER).coeffs)
+
+    @pytest.mark.parametrize("cid", QUARTIC_KERNELS, ids=lambda c: c.value)
+    def test_hensel_factors(self, cid):
+        e1, e2 = hensel_quadratic_factors(*QUARTIC_KERNELS[cid], SERIES_ORDER)
+        assert _all_ints(e1.coeffs) and _all_ints(e2.coeffs)
 
 
 PUBLISHED_PREFIXES = {
@@ -134,7 +174,7 @@ class TestMinimalPolynomials:
 
 
 def _kernel_residual(polys, x, order):
-    acc = TruncatedSeries([Fraction(0)], order)
+    acc = TruncatedSeries([0], order)
     for k in reversed([TruncatedSeries.from_poly(p, order) for p in polys]):
         acc = acc * x + k
     return acc
