@@ -4,19 +4,20 @@ Two jobs live here.  First, grouping all triples of binary relations by
 the pattern set they induce — normalised by a closure under containment
 implications, since different pattern sets can carve out the same
 avoiders — and then by their counting sequence, which recovers the
-classical equivalence-class and Wilf-class structure.  Second,
-floating-point analysis of the exact counting sequences: extrapolating
-the growth rate mu = lim I_{n+1}/I_n, estimating the polynomial
-correction exponent, and fitting the stretched-exponential form that two
-of the classes exhibit.
+classical equivalence-class and Wilf-class structure.  Second, the
+asymptotics of the exact counting sequences, on the standard library
+alone: exact-rational extrapolation of the growth rate mu = lim
+I_{n+1}/I_n and of the polynomial correction exponent, a float
+least-squares fit of the stretched-exponential form that two of the
+classes exhibit, and an exact certificate for each algebraic mu.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import numpy as np
+from operator import mul
 
 from .core import PatternSet, RelationTriple, all_triples, triple_to_pattern_set
 from .gentree import ClassId
@@ -170,32 +171,16 @@ GROWTH_REFERENCE: dict[ClassId, GrowthInfo] = {
     ClassId.C2106: GrowthInfo(9.0, "9", None, -5.401),
 }
 
-ALGEBRAIC_CLASSES = (
-    ClassId.C663A,
-    ClassId.C733,
-    ClassId.C1016,
-    ClassId.C1176,
-    ClassId.C1253,
-    ClassId.C1420,
-    ClassId.C1833A,
-)
-
 
 def check_root_constants(class_id: ClassId, tol: float = 1e-9) -> float:
-    """Confirm the tabulated mu: if a defining polynomial is stored, it must
-    vanish at mu and have a root there numerically; returns mu."""
+    """Certify the tabulated mu and return it: a stored integer polynomial
+    must change sign, evaluated in exact rationals, across mu -/+ tol."""
     info = GROWTH_REFERENCE[class_id]
     if info.mu_polynomial is not None:
-        val = sum(c * info.mu ** i for i, c in enumerate(info.mu_polynomial))
-        scale = max(abs(c) * info.mu ** i for i, c in enumerate(info.mu_polynomial))
-        if abs(val) > tol * scale:
-            raise ArithmeticError(
-                f"{class_id.value}: stored mu is not a polynomial root (residual {val})"
-            )
-        roots = np.roots(list(reversed(info.mu_polynomial)))
-        real = [r.real for r in roots if abs(r.imag) < 1e-9]
-        if not any(abs(r - info.mu) < 1e-6 for r in real):
-            raise ArithmeticError(f"{class_id.value}: numpy disagrees about the root")
+        mu, eps, poly = Fraction(info.mu), Fraction(tol), info.mu_polynomial
+        lo, hi = (sum(c * x ** i for i, c in enumerate(poly)) for x in (mu - eps, mu + eps))
+        if lo * hi > 0:
+            raise ArithmeticError(f"{class_id.value}: no root of its polynomial within {tol} of mu")
     return info.mu
 
 
@@ -273,23 +258,37 @@ def fit_stretched(
     n_max = len(counts) - 1
     if n_max < n_min + 2:
         raise ValueError(f"the stretched fit needs terms up to n = {n_min + 2}, got {n_max}")
-    ns = np.arange(n_min, n_max + 1)
-    # log of huge integers, exactly: int.bit_length-based via Fraction -> float fails,
-    # so use math on the exact integers through their bit length and top bits.
-    ys = np.array([_log_int(counts[n]) - n * np.log(base) for n in ns])
-    design = np.column_stack([np.ones_like(ns, dtype=float), np.log(ns), ns ** sigma])
-    sol, res, _, _ = np.linalg.lstsq(design, ys, rcond=None)
-    log_c, g, log_mu1 = sol
-    residual = float(np.sqrt(res[0] / len(ns))) if len(res) else 0.0
+    ns = range(n_min, n_max + 1)
+    ys = [_log_int(counts[n]) - n * math.log(base) for n in ns]
+    columns = [[1.0] * len(ns), [math.log(n) for n in ns], [n ** sigma for n in ns]]
+    (log_c, g, log_mu1), res = _least_squares(columns, ys)
+    residual = math.sqrt(math.fsum(r * r for r in res) / len(ns))
     return StretchedFit(base, sigma, g, log_mu1, log_c, residual)
+
+
+def _least_squares(columns: list[list[float]], ys: list[float]) -> tuple[list[float], list[float]]:
+    """The x minimising |ys - sum_j x_j columns[j]|, and the residual vector.
+
+    Modified Gram-Schmidt orthogonalises columns + [ys] in turn, so columns =
+    Q U with U unit upper triangular and ys = Q c + residual; U x = c is
+    then solved by back substitution."""
+    qs, u = [], []
+    for v in [*columns, ys]:
+        comps = []
+        for q in qs:
+            c = math.fsum(map(mul, q, v)) / math.fsum(map(mul, q, q))
+            v = [a - c * b for a, b in zip(v, q)]
+            comps.append(c)
+        qs.append(v)
+        u.append(comps)
+    x: list[float] = []
+    for k in reversed(range(len(columns))):
+        x.insert(0, u[-1][k] - math.fsum(u[j][k] * xj for j, xj in enumerate(x, k + 1)))
+    return x, qs[-1]
 
 
 def _log_int(v: int) -> float:
     """Natural log of a (possibly enormous) positive integer."""
     if v <= 0:
         raise ValueError("log of a nonpositive count")
-    bits = v.bit_length()
-    if bits <= 900:
-        return float(np.log(float(v)))
-    shift = bits - 60
-    return float(np.log(float(v >> shift))) + shift * float(np.log(2.0))
+    return math.log(v)

@@ -50,9 +50,9 @@ def _sign(a: int, b: int) -> int:
     return (a > b) - (a < b)
 
 
-def _compile_patterns(patterns: Iterable[Pattern]) -> tuple[list, list, bool]:
-    """Split patterns into length-3 relation triples, length-2 relations,
-    and a flag for a length<=1 pattern (which forbids everything)."""
+def _compile_patterns(patterns: Iterable[Pattern], length: int) -> tuple[list, list, bool]:
+    """Split patterns into length-3 relation triples, length-2 relations, and a flag
+    for a length<=1 pattern no longer than ``length`` (it occurs in every such word)."""
     triples = []
     pairs = []
     kill_all = False
@@ -63,7 +63,7 @@ def _compile_patterns(patterns: Iterable[Pattern]) -> tuple[list, list, bool]:
         elif len(d) == 2:
             pairs.append(_sign(d[0], d[1]))
         elif len(d) <= 1:
-            kill_all = True
+            kill_all |= len(d) <= length
         else:
             raise ValueError(f"patterns longer than 3 are not supported: {p}")
     return triples, pairs, kill_all
@@ -168,7 +168,7 @@ def _sweep(
 def count_avoiders(n: int, patterns: PatternSet, bound: int | None = None) -> int:
     """|I_n(S)|, by a level sweep over the states of the avoiding prefixes."""
     _require_size(f"n={n}", n, bound)
-    triples, pairs, kill_all = _compile_patterns(patterns)
+    triples, pairs, kill_all = _compile_patterns(patterns, n)
     if kill_all:
         return 0
     return _sweep(n, _Masks(n), triples, pairs, None, 0)
@@ -179,7 +179,7 @@ def enumerate_avoiders(
 ) -> list[InversionSequence]:
     """The avoiders themselves, in lexicographic order."""
     _require_size(f"n={n}", n, bound)
-    triples, pairs, kill_all = _compile_patterns(patterns)
+    triples, pairs, kill_all = _compile_patterns(patterns, n)
     if kill_all:
         return []
     masks = _Masks(n)
@@ -247,7 +247,7 @@ def count_words(constraint: WordConstraint, bound: int | None = None) -> int:
     """Count words satisfying the constraint, by a level sweep over prefix states."""
     k, b = constraint.length, constraint.max_letter
     _require_size(f"k={k}, b={b}", max(k, b), bound)
-    triples, pairs, kill_all = _compile_patterns(constraint.forbidden)
+    triples, pairs, kill_all = _compile_patterns(constraint.forbidden, k)
     if kill_all:
         return 0
     alphabet = ((1 << (b + 1)) - 1) & ~1  # letters 1..b

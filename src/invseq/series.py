@@ -23,13 +23,13 @@ from .gentree import ClassId
 
 
 class QSqrt5:
-    """A number a + b*sqrt(5) with rational a, b; a field, so division works."""
+    """A number a + b*sqrt(5) with rational a, b kept as given; a field, so division works."""
 
     __slots__ = ("a", "b")
 
     def __init__(self, a=0, b=0):
-        self.a = Fraction(a)
-        self.b = Fraction(b)
+        self.a = a
+        self.b = b
 
     @staticmethod
     def _coerce(x) -> "QSqrt5":
@@ -74,7 +74,7 @@ class QSqrt5:
         norm = self.a * self.a - 5 * self.b * self.b
         if norm == 0:
             raise ZeroDivisionError("zero element of Q(sqrt 5)")
-        return QSqrt5(self.a / norm, -self.b / norm)
+        return QSqrt5(_div(self.a, norm), _div(-self.b, norm))
 
     def __truediv__(self, other):
         o = self._coerce(other)

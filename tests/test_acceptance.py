@@ -7,15 +7,15 @@ everything else is exact integer or rational arithmetic.
 """
 
 from invseq import cli
-from invseq.analysis import ALGEBRAIC_CLASSES, GROWTH_REFERENCE, estimate_growth
+from invseq.analysis import GROWTH_REFERENCE, estimate_growth
 from invseq.gentree import ClassId, count_class
-from invseq.series import MINIMAL_POLYNOMIAL_DEGREE, expand_closed_form
+from invseq.series import MINIMAL_POLYNOMIAL_DEGREE, MINIMAL_POLYNOMIALS, expand_closed_form
 
 # -- pinned tolerances and reference values ---------------------------------
 
 MU_TIGHT_TOL = 1e-3  # relative, >= 200 terms
 MU_LOOSE_TOL = 1e-2  # relative, >= 300 terms
-MU_TIGHT = {cid: (GROWTH_REFERENCE[cid].mu, 210) for cid in ALGEBRAIC_CLASSES}
+MU_TIGHT = {cid: (GROWTH_REFERENCE[cid].mu, 210) for cid in MINIMAL_POLYNOMIALS}
 MU_LOOSE = {
     cid: (GROWTH_REFERENCE[cid].mu, 310)
     for cid in (ClassId.C214, ClassId.C830, ClassId.C1509, ClassId.C1953A)

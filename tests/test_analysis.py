@@ -1,9 +1,9 @@
 import math
+from dataclasses import replace
 
 import pytest
 
 from invseq.analysis import (
-    ALGEBRAIC_CLASSES,
     GROWTH_REFERENCE,
     PATTERN_IMPLICATIONS,
     _log_int,
@@ -23,6 +23,7 @@ from invseq.core import (
 )
 from invseq.gentree import ClassId, WILF_PARTNER_PATTERNS, count_class
 from invseq.oracle import count_avoiders
+from invseq.series import MINIMAL_POLYNOMIALS
 from conftest import all_inversion_sequences
 
 
@@ -118,7 +119,16 @@ class TestGrowthReference:
             assert mu > 0
 
     def test_algebraic_classes_listed(self):
-        assert set(ALGEBRAIC_CLASSES) <= set(GROWTH_REFERENCE)
+        assert set(MINIMAL_POLYNOMIALS) <= set(GROWTH_REFERENCE)
+
+    @pytest.mark.parametrize("shift", [-1e-8, 1e-8])
+    def test_moved_root_is_refused(self, shift, monkeypatch):
+        for cid, info in GROWTH_REFERENCE.items():
+            if info.mu_polynomial is None:
+                continue
+            monkeypatch.setitem(GROWTH_REFERENCE, cid, replace(info, mu=info.mu + shift))
+            with pytest.raises(ArithmeticError, match=cid.value):
+                check_root_constants(cid)
 
 
 class TestEstimateGrowth:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +31,11 @@ class TestCount:
         )
         assert code == 0
         assert lines[-1] == "5 16"
+
+    def test_one_letter_pattern(self, capsys):
+        code, lines = run(capsys, "count", "--patterns", "0", "--n", "3")
+        assert code == 0
+        assert lines == ["0 1", "1 0", "2 0", "3 0"]
 
     def test_triple_selector(self, capsys):
         code, lines = run(capsys, "count", "--triple", ">,<=,!=", "--n", "6")
@@ -209,6 +218,19 @@ def test_negative_asymptotics_terms_names_the_option(capsys):
     with pytest.raises(SystemExit):
         main(["asymptotics", "--class", "1420", "--terms", "-3"])
     assert capsys.readouterr().err == "error: --terms must be nonnegative\n"
+
+
+def test_cli_imports_the_standard_library_only():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    probe = "import sys, invseq.cli; print('numpy' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout == "False\n"
 
 
 class TestVerifyAll:

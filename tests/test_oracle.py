@@ -38,6 +38,8 @@ class TestCountAvoiders:
             ("012",),
             ("00",),
             ("011", "201"),
+            ("0",),
+            ("",),
         ],
     )
     def test_matches_unpruned_filter(self, specs):
@@ -103,6 +105,11 @@ class TestEnumerate:
             assert vals == sorted(vals)
             assert all(avoids_all(s, ps) for s in seqs)
 
+    def test_one_letter_pattern_leaves_the_empty_sequence(self):
+        one, empty = PatternSet.of("0"), PatternSet.of("")
+        assert enumerate_avoiders(0, one) == [InversionSequence(())]
+        assert enumerate_avoiders(1, one) == enumerate_avoiders(0, empty) == []
+
 
 def brute_words(constraint):
     from invseq.core import word_contains
@@ -120,7 +127,7 @@ def brute_words(constraint):
 class TestCountWords:
     @pytest.mark.parametrize("surjective", [False, True])
     @pytest.mark.parametrize(
-        "forbidden", [(), ("212", "112", "213"), ("111", "212", "112", "213")]
+        "forbidden", [(), ("212", "112", "213"), ("111", "212", "112", "213"), ("1",)]
     )
     def test_matches_brute_force(self, forbidden, surjective):
         for k in range(7):

@@ -36,6 +36,7 @@ class TestQSqrt5:
 
     def test_sqrt5_squares_to_five(self):
         assert SQRT5 * SQRT5 == QSqrt5(5)
+        assert type((SQRT5 * SQRT5).a) is int
 
     def test_float(self):
         assert abs(float(SQRT5) - 5 ** 0.5) < 1e-12
