@@ -132,43 +132,31 @@ def classify_triples(n_max: int = 9, bound: int | None = None) -> TripleClassifi
 
 @dataclass(frozen=True)
 class GrowthInfo:
-    """Reference asymptotics: I_n ~ C n^g mu^n, times mu1^(n^sigma) if stretched."""
+    """Reference growth rate mu of I_n, and whether I_n also carries a
+    stretched-exponential factor mu1^(n^sigma)."""
 
     mu: float
-    description: str
     mu_polynomial: tuple[int, ...] | None = None  # ascending coeffs, mu is a root
-    exponent: float | None = None  # the power-law exponent g
     stretched: bool = False
-    log_mu1: float | None = None  # stretched-exponential coefficient
 
 
 SQRT2 = 2 ** 0.5
 
 GROWTH_REFERENCE: dict[ClassId, GrowthInfo] = {
-    ClassId.C663A: GrowthInfo(
-        4.730576939379623, "algebraic root", (4, -12, 4, -24, 5), -1.5
-    ),
-    ClassId.C733: GrowthInfo(
-        5.162073287778036, "algebraic root", (1, -14, 7, -6, 1), -1.5
-    ),
-    ClassId.C1016: GrowthInfo(4.0, "4", None, -0.5),
-    ClassId.C1176: GrowthInfo(2 + 2 * SQRT2, "2 + 2*sqrt(2)", None, -1.5),
-    ClassId.C1253: GrowthInfo(4.0, "4", None, -0.5),
-    ClassId.C1420: GrowthInfo(27 / 5, "27/5", None, -1.5),
-    ClassId.C1833A: GrowthInfo(
-        5.980417720769260, "algebraic root", (32, 195, 12, 112, -20), -1.5
-    ),
-    ClassId.C214: GrowthInfo(4.0, "4", None, -1.5),
-    ClassId.C830: GrowthInfo(27 / 4, "27/4", None, -1.5),
-    ClassId.C1509: GrowthInfo(3 + 2 * SQRT2, "3 + 2*sqrt(2)", None, -1.5),
-    ClassId.C1953A: GrowthInfo(27 / 4, "27/4", None, -1.5),
-    ClassId.C247: GrowthInfo(
-        8.0, "8, stretched", None, 4.25, stretched=True, log_mu1=-13.0
-    ),
-    ClassId.C759: GrowthInfo(
-        9.0, "9, stretched", None, 3.25, stretched=True, log_mu1=-10.4
-    ),
-    ClassId.C2106: GrowthInfo(9.0, "9", None, -5.401),
+    ClassId.C663A: GrowthInfo(4.730576939379623, (4, -12, 4, -24, 5)),
+    ClassId.C733: GrowthInfo(5.162073287778036, (1, -14, 7, -6, 1)),
+    ClassId.C1016: GrowthInfo(4.0),
+    ClassId.C1176: GrowthInfo(2 + 2 * SQRT2, (-4, -4, 1)),
+    ClassId.C1253: GrowthInfo(4.0),
+    ClassId.C1420: GrowthInfo(27 / 5),
+    ClassId.C1833A: GrowthInfo(5.980417720769260, (32, 195, 12, 112, -20)),
+    ClassId.C214: GrowthInfo(4.0),
+    ClassId.C830: GrowthInfo(27 / 4),
+    ClassId.C1509: GrowthInfo(3 + 2 * SQRT2, (1, -6, 1)),
+    ClassId.C1953A: GrowthInfo(27 / 4),
+    ClassId.C247: GrowthInfo(8.0, stretched=True),
+    ClassId.C759: GrowthInfo(9.0, stretched=True),
+    ClassId.C2106: GrowthInfo(9.0),
 }
 
 
@@ -197,27 +185,22 @@ class GrowthEstimate:
     points_used: int
 
 
-def _neville(xs: list[Fraction], ys: list[Fraction]) -> Fraction:
-    """Exact polynomial extrapolation of (xs, ys) to x = 0.
-
-    Exact rational arithmetic sidesteps the severe cancellation that makes
-    the floating-point tableau useless at these closely spaced abscissae.
-    """
-    t = list(ys)
-    n = len(t)
-    for k in range(1, n):
-        for i in range(n - k):
-            t[i] = (xs[i + k] * t[i] - xs[i] * t[i + 1]) / (xs[i + k] - xs[i])
-    return t[0]
-
-
 def estimate_growth(counts: list[int], points: int = 10) -> GrowthEstimate:
     """Estimate mu (and the power-law exponent) from a counting sequence.
 
-    Successive ratios I_{n+1}/I_n behave like mu (1 + g/n + ...), so
+    Successive ratios r_n = I_{n+1}/I_n behave like mu (1 + g/n + ...), so
     polynomial extrapolation in 1/n to 1/n = 0 accelerates convergence;
     the exponent comes from extrapolating n (r_n / mu - 1).  Sample points
     are spread over the top half of the sequence.
+
+    Both extrapolations are exact: with the Lagrange weights at 1/n = 0,
+    w_i = prod_{j != i} n_i / (n_i - n_j), they are mu = sum w_i r_i and
+    g = (sum w_i n_i r_i) / mu - sum w_i n_i.  The weights are small
+    rationals, brought to one denominator L; the ratios share the
+    denominator D = prod I_{n_i}.  Each result is then one integer
+    division, rounded once to a float.  Exact arithmetic sidesteps the
+    severe cancellation that makes floating-point extrapolation useless
+    at these closely spaced abscissae.
     """
     if points < 1:
         raise ValueError("points must be at least 1")
@@ -226,12 +209,17 @@ def estimate_growth(counts: list[int], points: int = 10) -> GrowthEstimate:
         raise ValueError("not enough terms for the requested extrapolation depth")
     step = max(1, n_max // (2 * points))
     ns = [n_max - j * step for j in range(points)]
-    xs = [Fraction(1, n) for n in ns]
-    ratios = [Fraction(counts[n + 1], counts[n]) for n in ns]
-    mu = _neville(xs, ratios)
-    gs = [n * (r / mu - 1) for n, r in zip(ns, ratios)]
-    exponent = _neville(xs, gs)
-    return GrowthEstimate(float(mu), float(exponent), len(counts), points)
+    ws = [math.prod(Fraction(n, n - m) for m in ns if m != n) for n in ns]
+    lcd = math.lcm(*(w.denominator for w in ws))
+    den = math.prod(counts[n] for n in ns)
+    wl = [w.numerator * (lcd // w.denominator) for w in ws]  # w_i L
+    rd = [counts[n + 1] * (den // counts[n]) for n in ns]  # r_i D
+    mu_num = sum(map(mul, wl, rd))  # mu L D
+    moment = sum(map(mul, wl, map(mul, ns, rd)))  # (sum w_i n_i r_i) L D
+    shift = sum(map(mul, wl, ns))  # (sum w_i n_i) L
+    mu = mu_num / (lcd * den)
+    exponent = (moment * lcd - shift * mu_num) / (mu_num * lcd)
+    return GrowthEstimate(mu, exponent, len(counts), points)
 
 
 @dataclass

@@ -98,7 +98,10 @@ class Pattern:
 
     @classmethod
     def parse(cls, text: str) -> "Pattern":
-        return cls(tuple(int(c) for c in text.strip()))
+        text = text.strip()
+        if not set(text) <= set("0123456789"):
+            raise ValueError(f"bad pattern {text!r}: its letters must be digits 0-9")
+        return cls(tuple(map(int, text)))
 
     def __len__(self) -> int:
         return len(self.digits)

@@ -16,12 +16,14 @@ only has to be closed under the step and give the term, ``counted_total``.
 The steppers of 663A, 1420 and the 1176 family keep one list per tag; 733
 and 1833A keep the row sums and the s = 0 column of their (p, s) grid.
 These take O(levels) big-integer additions per step.  The seven grid rules
-take O(levels^2), written as whole-row list operations from a few shared
-helpers: a left-grown step moves every row one down under a per-row "stay"
-(shift down or suffix sums), then adds the jumps either along
-anti-diagonals or as Catalan-weighted columns; 830 and 2106 build each new
-row from prefix sums and the row before it.  ``label_census`` runs the
-reference expansion.  The test-suite checks that every fast state is a
+take O(levels^2) and store only the labels they can reach.  A left-grown
+grid is the triangle p + s <= depth, stored column-major, and its step is
+whole-column list operations from a few shared helpers: a "stay" moves
+every label one row down (shift down: column s plus column s + 1; fall: a
+running sum across the columns), then the jumps add either along
+anti-diagonals or as Catalan-weighted columns.  830 and 2106 keep ragged
+rows, row h holding k = 0..h, and build each new row from prefix sums and
+the row before it.  ``label_census`` runs the reference expansion.  The test-suite checks that every fast state is a
 projection of the reference census, and that both agree with the
 brute-force oracle.
 
@@ -37,8 +39,8 @@ leading runs of zeros (p, s) or the prefix plus remaining commitments
 from __future__ import annotations
 
 import enum
-from itertools import accumulate, islice
-from operator import add
+from itertools import accumulate, islice, repeat, zip_longest
+from operator import add, mul
 from typing import Iterator, NamedTuple
 
 from .combinat import multiplicity_m, multiplicity_w
@@ -265,9 +267,9 @@ class _Rule1176Family(SuccessionRule):
 
 
 def _strict_suffix_sums(xs: list[int]) -> list[int]:
-    """[sum(xs[i + 1:]) for i in range(len(xs) + 1)]."""
+    """[sum(xs[i + 1:]) for i in range(len(xs))]."""
     suffix = list(accumulate(reversed(xs), initial=0))  # sums of the last i entries
-    return suffix[-2::-1] + [0]
+    return suffix[-2::-1]
 
 
 class Rule1176(_Rule1176Family):
@@ -278,7 +280,7 @@ class Rule1176(_Rule1176Family):
         a, b, c, d, e = state
         new_a, new_b = self._step_ab(a, b, depth)
         new_d = [ck + dk for ck, dk in zip(c, d)] + [0]
-        new_e = _strict_suffix_sums([x + y + z for x, y, z in zip(a, d, e)])
+        new_e = _strict_suffix_sums([x + y + z for x, y, z in zip(a, d, e)]) + [0]
         return (new_a, new_b, b + [0], new_d, new_e)
 
 
@@ -291,7 +293,7 @@ class Rule1253(_Rule1176Family):
         new_a, new_b = self._step_ab(a, b, depth)
         new_c = [bk + ck for bk, ck in zip(b, c)] + [0]
         new_d = [ck + 2 * dk for ck, dk in zip(c, d)] + [0]
-        new_e = [s + ek for s, ek in zip(_strict_suffix_sums(a), e + [0])]
+        new_e = [*map(add, _strict_suffix_sums(a), e), 0]
         return (new_a, new_b, new_c, new_d, new_e)
 
 
@@ -303,12 +305,13 @@ class Rule1016(_Rule1176Family):
         a, b, c, d, e = state
         new_a, new_b = self._step_ab(a, b, depth)
         new_d = [ck + dk for ck, dk in zip(c, d)] + [0]
-        return (new_a, new_b, b + [0], new_d, _strict_suffix_sums(a))
+        return (new_a, new_b, b + [0], new_d, _strict_suffix_sums(a) + [0])
 
 
 class _TwoGridRule(SuccessionRule):
     """Right-grown rules labelled (length, h, k) under one of two tags, all
-    counted; the fast state is one h-by-k grid per tag."""
+    counted, with k <= h; the fast state is one grid per tag, whose row h
+    holds k = 0..h, for h = 0..depth."""
 
     tags: str  # the two tag letters; the root carries the first
 
@@ -349,22 +352,23 @@ class Rule830(_TwoGridRule):
             raise RuleError(f"unknown tag {label.tag!r}")
 
     def step_state(self, state, depth: int):
+        # s-children keep (h, k) from both tags.  t-children keep maximum h
+        # and take premaximum i < h: from s-rows every k < i, from t-rows
+        # every k <= i, that is the mass below i plus t[h][i].
         s, t = state
-        size = depth + 2
-        mass = [list(map(add, row_s, row_t)) for row_s, row_t in zip(s, t)]
-        new_s = [[*row, 0] for row in mass] + [[0] * size]
-        # a new maximum i takes the whole mass of every maximum h < i
-        u = list(map(sum, mass))
+        new_s, new_t, u = [], [], []
+        for h, (row_s, row_t) in enumerate(zip(s, t)):
+            mass = list(map(add, row_s, row_t))
+            below = list(accumulate(mass, initial=0))
+            u.append(below.pop())
+            new_s.append(mass)
+            new_t.append([*islice(map(add, below, row_t), h), 0])
+        new_s.append([0] * (depth + 2))
+        new_t.append([0] * (depth + 2))
+        # a new maximum i takes the whole mass u[h] of every maximum h < i
         for i in range(1, depth + 1):
             row = new_s[i]
-            row[:i] = map(add, row, u[:i])
-        # t-children keep maximum h and take premaximum i < h: from s-rows
-        # every k < i, from t-rows every k <= i
-        new_t = []
-        for h, (row_s, row_t) in enumerate(zip(s, t)):
-            below = map(add, accumulate(row_s, initial=0), accumulate(row_t))
-            new_t.append([*islice(below, h)] + [0] * (size - h))
-        new_t.append([0] * size)
+            row[:i] = map(add, row, islice(u, i))
         return (new_s, new_t)
 
 
@@ -390,27 +394,25 @@ class Rule2106(_TwoGridRule):
             yield Label("q", (n + 1, h, i)), 1
 
     def step_state(self, state, depth: int):
-        # p and q are (depth + 1)-square grids.  p-labels have k <= h and
-        # q-labels k < h, so the diagonal h = k holds no q-label.
-        p, q = state
-        size = depth + 2
-        # p-children run along diagonals of constant h - k, fed by the
-        # p-labels on the diagonal and the q-labels one below it:
+        # p-labels have k <= h and q-labels k < h.  p-children run along
+        # diagonals of constant h - k, fed by the p-labels on the diagonal
+        # and the q-labels one below it:
         # new_p[h] = (new_p[h - 1] shifted right by one) + p[h] + q[h - 1]
-        row = zero = [0] * (depth + 1)
-        new_p = []
-        for row_p, row_q in zip(p, [zero] + q):
-            row = [x + y + z for x, y, z in zip([0] + row, row_p, row_q)]
-            new_p.append(row + [0])
-        new_p.append([0] * size)
+        p, q = state
+        row, new_p = [], []
+        for row_p, row_q in zip(p, [[], *q]):
+            row = list(map(add, map(add, [0, *row], row_p), [*row_q, 0]))
+            new_p.append(row)
+        new_p.append([0] * (depth + 2))
         # q-children: per maximum h, the mass with a larger k
         new_q = [_strict_suffix_sums(list(map(add, *rows))) for rows in zip(p, q)]
-        new_q.append([0] * size)
+        new_q.append([0] * (depth + 2))
         return (new_p, new_q)
 
 
 # ---------------------------------------------------------------------------
-# Left-grown rules: labels track the runs of zeros (or commitments)
+# Left-grown rules: labels (p, s) track the runs of zeros (or commitments);
+# their grids are triangles p + s <= depth, stored column-major as cols[s][p]
 # ---------------------------------------------------------------------------
 
 
@@ -424,52 +426,50 @@ def _pair_sums(xs: list[int]) -> list[int]:
     return list(map(add, xs, xs[1:] + [0]))
 
 
-# The stays: where the labels (p, s) of one row land in row p + 1.
-
-
-def _shift_down(row: list[int]) -> list[int]:
+def _shift_down(cols: list[list[int]]) -> list[list[int]]:
     """(p, s) -> (p + 1, s), and also (p + 1, s - 1) when s > 0."""
-    return _pair_sums(row) + [0]
+    return [*([0, *map(add, c, nxt), c[-1]] for c, nxt in zip(cols, [*cols[1:], []])), [0]]
 
 
-def _fall(row: list[int]) -> list[int]:
-    """(p, s) -> (p + 1, s') for every s' <= s."""
-    return _suffix_sums(row) + [0]
+def _fall(cols: list[list[int]]) -> list[list[int]]:
+    """(p, s) -> (p + 1, s') for every s' <= s; the new column 0 is zero
+    followed by the row sums."""
+    new, acc = [[0]], []
+    for col in reversed(cols):
+        acc = [*map(add, col, acc), col[-1]]  # sum over the columns s' >= s
+        new.append([0, *acc])
+    return new[::-1]
 
 
-def _grow(state: list[list[int]], stay) -> list[list[int]]:
-    """The next grid before the jumps: row p moves to p + 1 as stay says."""
-    return [[0] * (len(state) + 1), *map(stay, state)]
+def _add_antidiagonals(cols: list[list[int]], v: list[int]) -> list[list[int]]:
+    """cols[k][p] += v[p + k] for every p >= 1, v zero past its end."""
+    for k, col in enumerate(cols[: len(v) - 1]):
+        col[1 : len(v) - k] = map(add, islice(col, 1, None), islice(v, k + 1, None))
+    return cols
 
 
-def _add_antidiagonals(grid: list[list[int]], v: list[int]) -> list[list[int]]:
-    """grid[p][k] += v[p + k] for every p >= 1, v zero past its end."""
-    for p in range(1, len(v)):
-        row = grid[p]
-        row[: len(v) - p] = map(add, row, v[p:])
-    return grid
-
-
-def _add_catalan_columns(grid: list[list[int]], col: list[int], next_col) -> list[list[int]]:
-    """grid[p][b] += C_b * col_b[p] for every p >= 1, where C_b is the b-th
+def _add_catalan_columns(cols: list[list[int]], col: list[int], next_col) -> list[list[int]]:
+    """cols[b][p] += C_b * col_b[p] for every p >= 1, where C_b is the b-th
     Catalan number, col_0 = col and col_{b+1} = next_col(col_b[1:])."""
     b, cb = 0, 1
     while len(col) > 1:
-        for p in range(1, len(col)):
-            grid[p][b] += cb * col[p]
+        jumps = map(mul, islice(col, 1, None), repeat(cb))
+        cols[b][1 : len(col)] = map(add, islice(cols[b], 1, None), jumps)
         cb = cb * 2 * (2 * b + 1) // (b + 2)
         b += 1
         col = next_col(col[1:])
-    return grid
+    return cols
 
 
 class _LeftGrownRule(SuccessionRule):
     """Common fast-path plumbing for the left-grown rules that keep their
-    whole grid of integer-pair labels.
+    whole grid of integer-pair labels (p, s).
 
-    The fast state is the grid state[p][s].  ``counted_rows`` and
-    ``counted_cols`` bound the counted labels as slice ends, p < counted_rows
-    and s < counted_cols (None: no bound); ``counted`` is the reference.
+    Every label has p + s <= depth, so the fast state is that triangle,
+    column-major: state[s][p] for p = 0..depth - s.  ``counted_rows`` and
+    ``counted_cols`` bound the counted labels as slice ends, p <
+    counted_rows and s < counted_cols (None: no bound); ``counted`` is the
+    reference.
     """
 
     counted_rows: int | None = None
@@ -482,8 +482,7 @@ class _LeftGrownRule(SuccessionRule):
         return [[1]]
 
     def counted_total(self, state, depth: int) -> int:
-        cols = self.counted_cols
-        return sum(sum(row[:cols]) for row in state[: self.counted_rows])
+        return sum(sum(islice(col, self.counted_rows)) for col in state[: self.counted_cols])
 
 
 class _ResetRule(SuccessionRule):
@@ -582,7 +581,7 @@ class Rule214(_LeftGrownRule):
 
     def step_state(self, state, depth: int):
         # (p, 0) jumps to the (p', k) with p' >= 1 and p' + k in {p - 1, p}
-        return _add_antidiagonals(_grow(state, _shift_down), _pair_sums([row[0] for row in state]))
+        return _add_antidiagonals(_shift_down(state), _pair_sums(state[0]))
 
 
 class Rule1509(_LeftGrownRule):
@@ -606,8 +605,8 @@ class Rule1509(_LeftGrownRule):
 
     def step_state(self, state, depth: int):
         # (p, s <= 1) jumps to every (p', k) with p' >= 1 and p' + k <= p
-        jumps = _suffix_sums([sum(row[:2]) for row in state])
-        return _add_antidiagonals(_grow(state, _shift_down), jumps)
+        jumps = _suffix_sums(list(map(sum, zip_longest(*state[:2], fillvalue=0))))
+        return _add_antidiagonals(_shift_down(state), jumps)
 
 
 class Rule1953A(_LeftGrownRule):
@@ -625,8 +624,10 @@ class Rule1953A(_LeftGrownRule):
                 yield Label("", (p + 1 - ell, k)), 1
 
     def step_state(self, state, depth: int):
-        # as 1833A: every label jumps to each (p', k) with p' + k <= p
-        return _add_antidiagonals(_grow(state, _fall), _suffix_sums(list(map(sum, state))))
+        # as 1833A: every label jumps to each (p', k) with p' + k <= p, so
+        # by the suffix sums of the row sums, which the fall puts in column 0
+        grown = _fall(state)
+        return _add_antidiagonals(grown, _suffix_sums(grown[0][1:]))
 
 
 class Rule759(_LeftGrownRule):
@@ -653,8 +654,7 @@ class Rule759(_LeftGrownRule):
     def step_state(self, state, depth: int):
         # (p, 0) jumps to (p - l, b) with weight binom(l, b) * C_b; summed
         # over l, column b takes the b-times iterated strict suffix sums
-        c0 = [row[0] for row in state]
-        return _add_catalan_columns(_grow(state, _shift_down), _suffix_sums(c0), _suffix_sums)
+        return _add_catalan_columns(_shift_down(state), _suffix_sums(state[0]), _suffix_sums)
 
 
 class Rule247(_LeftGrownRule):
@@ -684,8 +684,7 @@ class Rule247(_LeftGrownRule):
     def step_state(self, state, depth: int):
         # (p, 0) jumps to (p - l, b) with weight binom(b + 1, l - b) * C_b;
         # summed over l, column b takes b + 1 shifted pairwise sums
-        c0 = [row[0] for row in state]
-        return _add_catalan_columns(_grow(state, _shift_down), _pair_sums(c0), _pair_sums)
+        return _add_catalan_columns(_shift_down(state), _pair_sums(state[0]), _pair_sums)
 
 
 class _SingleRunRule(SuccessionRule):

@@ -1,5 +1,7 @@
+import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +27,9 @@ from invseq.gentree import ClassId, WILF_PARTNER_PATTERNS, count_class
 from invseq.oracle import count_avoiders
 from invseq.series import MINIMAL_POLYNOMIALS
 from conftest import all_inversion_sequences
+
+# the census benchmark's reference digests and growth fits
+CENSUS_REFS = Path(__file__).resolve().parents[1] / "perfbench" / "refs" / "census.json"
 
 
 class TestPatternImplications:
@@ -146,6 +151,12 @@ class TestEstimateGrowth:
         assert abs(est.mu - 4) < 1e-10
         assert abs(est.exponent + 1.5) < 1e-6
 
+    def test_exact_on_a_linear_ratio(self):
+        # r_n = 4 + 4/n is linear in 1/n, so both extrapolations are exact
+        est = estimate_growth([1] + [n * 4 ** (n - 1) for n in range(1, 61)])
+        assert est.mu == 4.0
+        assert est.exponent == 1.0
+
     def test_needs_enough_terms(self):
         with pytest.raises(ValueError):
             estimate_growth([1, 1, 2], points=10)
@@ -155,6 +166,25 @@ class TestEstimateGrowth:
         est = estimate_growth(counts)
         assert abs(est.mu - 27 / 5) < 1e-9
         assert abs(est.exponent + 1.5) < 1e-6
+
+
+def test_growth_estimates_match_recorded_fits():
+    """Every class's fit at the benchmark's depth matches the one recorded
+    with the benchmark, to the benchmark's own tolerances."""
+    refs = json.loads(CENSUS_REFS.read_text())
+    tolerance = {"algebraic": 1e-12, "stretched": 1e-6}
+    for cid in ClassId:
+        want = refs["final_fit"][cid.value]
+        counts = count_class(cid, refs["depth"])
+        if want["model"] == "stretched":
+            fit = fit_stretched(counts, GROWTH_REFERENCE[cid].mu)
+            got = {"exponent": fit.exponent, "log_mu1": fit.log_mu1}
+        else:
+            est = estimate_growth(counts)
+            got = {"mu": est.mu, "exponent": est.exponent}
+        assert GROWTH_REFERENCE[cid].stretched == (want["model"] == "stretched"), cid
+        for key, value in got.items():
+            assert math.isclose(value, want[key], rel_tol=tolerance[want["model"]]), (cid, key)
 
 
 class TestStretchedFit:

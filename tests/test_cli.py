@@ -176,6 +176,8 @@ class TestWords:
         ("asymptotics --class 1420 --terms 60 --points -3", {}),
         ("classify --max-n -1", {}),
         ("series --class 1176 --order -1", {}),
+        ("count --patterns 0a1 --n 3", {}),
+        ("count --patterns -1 --n 3", {}),
     ],
 )
 def test_bad_input_exits_2_with_one_error_line(command, env, capsys, monkeypatch):

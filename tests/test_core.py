@@ -76,6 +76,12 @@ class TestPattern:
         with pytest.raises(ValueError):
             Pattern.parse("12")
 
+    @pytest.mark.parametrize("text", ["0a1", "-1", "0,1", "0²"])
+    def test_rejects_non_digits_naming_the_pattern(self, text):
+        with pytest.raises(ValueError, match="must be digits") as exc:
+            Pattern.parse(text)
+        assert repr(text) in str(exc.value)
+
     def test_reduce_word(self):
         assert reduce_word([5, 2, 5]).digits == (1, 0, 1)
         assert reduce_word([3, 7]).digits == (0, 1)

@@ -30,11 +30,8 @@ def fast_state_from_census(cid, census, depth):
     left = dict(census)
     levels = range(depth + 1)
 
-    def vec(label_at):
-        return [left.pop(label_at(i), 0) for i in levels]
-
-    def grid(label_at):
-        return [vec(lambda j: label_at(i, j)) for i in levels]
+    def vec(label_at, stop=depth):
+        return [left.pop(label_at(i), 0) for i in range(stop + 1)]
 
     if cid in (ClassId.C1016, ClassId.C1176, ClassId.C1253):
         state = (
@@ -42,14 +39,19 @@ def fast_state_from_census(cid, census, depth):
             *(vec(lambda k: Label(tag, (k,))) for tag in "bcde"),
         )
     elif cid in (ClassId.C830, ClassId.C2106):
+        # ragged rows: row h holds k = 0..h
         tags = "st" if cid is ClassId.C830 else "pq"
-        state = tuple(grid(lambda h, k: Label(tag, (depth, h, k))) for tag in tags)
+        state = tuple(
+            [vec(lambda k: Label(tag, (depth, h, k)), h) for h in levels] for tag in tags
+        )
     elif cid in (ClassId.C663A, ClassId.C1420):
         state = tuple(vec(lambda p: Label(tag, (p,))) for tag in "ab")
     else:
-        state = grid(lambda p, s: Label("", (p, s)))
+        # the triangle p + s <= depth, column-major: state[s][p]
+        state = [vec(lambda p: Label("", (p, s)), depth - s) for s in levels]
         if cid in (ClassId.C733, ClassId.C1833A):
-            state = ([sum(row) for row in state], [row[0] for row in state])
+            rows = [[col[p] for col in state if p < len(col)] for p in levels]
+            state = ([sum(row) for row in rows], state[0])
     assert not left, (cid, depth, left)
     return state
 
