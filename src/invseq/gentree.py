@@ -23,9 +23,9 @@ every label one row down (shift down: column s plus column s + 1; fall: a
 running sum across the columns), then the jumps add either along
 anti-diagonals or as Catalan-weighted columns.  830 and 2106 keep ragged
 rows, row h holding k = 0..h, and build each new row from prefix sums and
-the row before it.  ``label_census`` runs the reference expansion.  The test-suite checks that every fast state is a
-projection of the reference census, and that both agree with the
-brute-force oracle.
+the row before it.  ``label_census`` runs the reference expansion.  The
+test-suite checks that every fast state is a projection of the reference
+census, and that both agree with the brute-force oracle.
 
 Label conventions: right-grown rules track statistics of the sequence end
 (``a``/``b``/``c``/``d``/``e`` progression for the 1176 family,

@@ -1,7 +1,6 @@
 import json
 import math
 from dataclasses import replace
-from pathlib import Path
 
 import pytest
 
@@ -26,10 +25,7 @@ from invseq.core import (
 from invseq.gentree import ClassId, WILF_PARTNER_PATTERNS, count_class
 from invseq.oracle import count_avoiders
 from invseq.series import MINIMAL_POLYNOMIALS
-from conftest import all_inversion_sequences
-
-# the census benchmark's reference digests and growth fits
-CENSUS_REFS = Path(__file__).resolve().parents[1] / "perfbench" / "refs" / "census.json"
+from conftest import CENSUS_REFS, all_inversion_sequences
 
 
 class TestPatternImplications:

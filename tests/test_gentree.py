@@ -1,6 +1,5 @@
 import hashlib
 import json
-from pathlib import Path
 
 import pytest
 
@@ -17,11 +16,9 @@ from invseq.gentree import (
 )
 from invseq.oracle import count_avoiders
 from invseq.series import MINIMAL_POLYNOMIAL_DEGREE, verify_minimal_polynomial
+from conftest import CENSUS_REFS
 
 ALL_CLASSES = list(ClassId)
-# sha256 digests of count_class(cid, d) for d = 10, 20, ..., 210, recorded
-# with the benchmark and cross-checked there against independent routes
-CENSUS_REFS = Path(__file__).resolve().parents[1] / "perfbench" / "refs" / "census.json"
 
 
 def fast_state_from_census(cid, census, depth):
@@ -30,8 +27,8 @@ def fast_state_from_census(cid, census, depth):
     left = dict(census)
     levels = range(depth + 1)
 
-    def vec(label_at, stop=depth):
-        return [left.pop(label_at(i), 0) for i in range(stop + 1)]
+    def vec(label_at, last=depth):
+        return [left.pop(label_at(i), 0) for i in range(last + 1)]
 
     if cid in (ClassId.C1016, ClassId.C1176, ClassId.C1253):
         state = (
