@@ -15,7 +15,7 @@ classes exhibit, and an exact certificate for each algebraic mu.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
@@ -76,10 +76,9 @@ def close_pattern_set(patterns: PatternSet) -> PatternSet:
 class TripleClassification:
     """Triples grouped by closed pattern set, then by counting sequence."""
 
-    n_max: int
     pattern_classes: dict[PatternSet, list[RelationTriple]]
     counts: dict[PatternSet, tuple[int, ...]]
-    wilf_classes: dict[tuple[int, ...], list[PatternSet]] = field(default_factory=dict)
+    wilf_classes: dict[tuple[int, ...], list[PatternSet]]
 
     @property
     def n_triples(self) -> int:
@@ -122,7 +121,7 @@ def classify_triples(n_max: int = 9, bound: int | None = None) -> TripleClassifi
     wilf: dict[tuple[int, ...], list[PatternSet]] = {}
     for ps, vec in counts.items():
         wilf.setdefault(vec, []).append(ps)
-    return TripleClassification(n_max, pattern_classes, counts, wilf)
+    return TripleClassification(pattern_classes, counts, wilf)
 
 
 # ---------------------------------------------------------------------------
@@ -180,9 +179,7 @@ def check_root_constants(class_id: ClassId, tol: float = 1e-9) -> float:
 @dataclass
 class GrowthEstimate:
     mu: float
-    exponent: float | None
-    n_terms: int
-    points_used: int
+    exponent: float
 
 
 def estimate_growth(counts: list[int], points: int = 10) -> GrowthEstimate:
@@ -202,8 +199,8 @@ def estimate_growth(counts: list[int], points: int = 10) -> GrowthEstimate:
     severe cancellation that makes floating-point extrapolation useless
     at these closely spaced abscissae.
     """
-    if points < 1:
-        raise ValueError("points must be at least 1")
+    if points < 2:  # one point makes the exponent 0 whatever the counts
+        raise ValueError("points must be at least 2")
     n_max = len(counts) - 2
     if n_max < 2 * points + 2:
         raise ValueError("not enough terms for the requested extrapolation depth")
@@ -219,7 +216,7 @@ def estimate_growth(counts: list[int], points: int = 10) -> GrowthEstimate:
     shift = sum(map(mul, wl, ns))  # (sum w_i n_i) L
     mu = mu_num / (lcd * den)
     exponent = (moment * lcd - shift * mu_num) / (mu_num * lcd)
-    return GrowthEstimate(mu, exponent, len(counts), points)
+    return GrowthEstimate(mu, exponent)
 
 
 @dataclass

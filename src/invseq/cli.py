@@ -128,20 +128,14 @@ def cmd_series(args) -> int:
 
 def cmd_classify(args) -> int:
     tc = classify_triples(args.max_n, args.bound)
-    wilf_of = {}
-    for vec, members in tc.wilf_classes.items():
-        for ps in members:
-            wilf_of[ps] = vec
-    rows = []
-    for ps in sorted(tc.pattern_classes, key=str):
-        vec = wilf_of[ps]
-        rows.append(
-            {
-                "representative": str(ps),
-                "n_triples": len(tc.pattern_classes[ps]),
-                "counts": list(vec),
-            }
-        )
+    rows = [
+        {
+            "representative": str(ps),
+            "n_triples": len(tc.pattern_classes[ps]),
+            "counts": list(tc.counts[ps]),
+        }
+        for ps in sorted(tc.pattern_classes, key=str)
+    ]
     if args.format == "json-lines":
         for r in rows:
             print(json.dumps(r, sort_keys=True))

@@ -3,9 +3,12 @@
 A prefix is abandoned as soon as it contains a forbidden pattern, which can
 never disappear by extending on the right.  The pattern bookkeeping uses
 value bitmasks: the state of a prefix is the set of values it uses and the
-set of values that would complete a forbidden pattern, so checking a
-candidate extension is a handful of integer operations, but the semantics
-are exactly "some subsequence reduces to a forbidden pattern".
+set ``forb`` of values that would complete a forbidden pattern.  The
+patterns are compiled once per alphabet into per-letter masks, and every
+pattern, whatever its length, acts through ``forb`` alone, so checking a
+candidate extension is one bit test and the update a handful of integer
+operations, but the semantics are exactly "some subsequence reduces to a
+forbidden pattern".
 
 What a prefix may become depends on its state alone, so counting sweeps
 forward one position at a time over a map from state to the number of
@@ -19,7 +22,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .core import (
     InversionSequence,
@@ -46,106 +49,97 @@ def oracle_bound(override: int | None = None) -> int:
         raise ValueError(f"{BOUND_ENV_VAR} must be an integer, not {raw!r}") from None
 
 
-def _sign(a: int, b: int) -> int:
-    return (a > b) - (a < b)
+def _stand(a: int, b: int, w: int, full: int) -> int:
+    """The values x in ``full`` that stand to w as the digit a stands to b."""
+    if a < b:
+        return (1 << w) - 1
+    if a > b:
+        return full & -(2 << w)
+    return 1 << w
 
 
-def _compile_patterns(patterns: Iterable[Pattern], length: int) -> tuple[list, list, bool]:
-    """Split patterns into length-3 relation triples, length-2 relations, and a flag
-    for a length<=1 pattern no longer than ``length`` (it occurs in every such word)."""
-    triples = []
-    pairs = []
-    kill_all = False
+def _compile(patterns: Iterable[Pattern], size: int) -> tuple[int | None, Callable | None]:
+    """Compile patterns over the values [0, size) into the forbidden-value
+    mask of the empty prefix and the update ``extend(valset, w, forb)``,
+    which gives the mask after a prefix using the values ``valset``
+    appends w.  The start is None when the empty pattern, which occurs in
+    every word, is forbidden.
+
+    A pattern abc gains occurrences with the new letter w as its middle
+    when some earlier x stands to w as a to b; they forbid every future v
+    that stands to w as c to b and to some such x as c to a.  Each of
+    those x-relations is a monotone family of masks, so the least (a < c)
+    or the greatest (a > c) matching x decides.  A pattern ab forbids at
+    once every v that stands to w as b to a, and a one-letter pattern
+    forbids every letter from the start.
+    """
+    full = (1 << size) - 1
+    start = 0
+    after = [0] * size
+    middle: list[list[tuple[int, int, int]]] = [[] for _ in range(size)]
     for p in patterns:
         d = p.digits
         if len(d) == 3:
-            triples.append((_sign(d[0], d[1]), _sign(d[1], d[2]), _sign(d[0], d[2])))
+            a, b, c = d
+            for w in range(size):
+                left, right = _stand(a, b, w, full), _stand(c, b, w, full)
+                middle[w].append((left, right, (c > a) - (c < a)))
         elif len(d) == 2:
-            pairs.append(_sign(d[0], d[1]))
-        elif len(d) <= 1:
-            kill_all |= len(d) <= length
+            for w in range(size):
+                after[w] |= _stand(d[1], d[0], w, full)
+        elif len(d) == 1:
+            start = full
+        elif not d:
+            return None, None
         else:
             raise ValueError(f"patterns longer than 3 are not supported: {p}")
-    return triples, pairs, kill_all
 
+    def extend(valset: int, w: int, forb: int) -> int:
+        forb |= after[w]
+        for left, right, up in middle[w]:
+            xs = valset & left
+            if not xs:
+                continue
+            if up > 0:  # v above the least matching x
+                forb |= right & -((xs & -xs) << 1)
+            elif up < 0:  # v below the greatest matching x
+                forb |= right & ((1 << (xs.bit_length() - 1)) - 1)
+            else:
+                forb |= right & xs
+        return forb
 
-class _Masks:
-    """Per-run bitmask tables over the value alphabet [0, size)."""
-
-    def __init__(self, size: int):
-        full = (1 << size) - 1
-        self.lt = [(1 << y) - 1 for y in range(size)]  # {v : v < y}
-        self.gt = [full & ~((1 << (y + 1)) - 1) for y in range(size)]  # {v : v > y}
-        self.eq = [1 << y for y in range(size)]
-
-    def rel(self, sign: int, y: int) -> int:
-        # {v : y (sign) v}: sign=-1 means y < v, +1 means y > v, 0 means y = v
-        if sign < 0:
-            return self.gt[y]
-        if sign > 0:
-            return self.lt[y]
-        return self.eq[y]
-
-    def rel_rev(self, sign: int, y: int) -> int:
-        # {x : x (sign) y}
-        if sign < 0:
-            return self.lt[y]
-        if sign > 0:
-            return self.gt[y]
-        return self.eq[y]
-
-
-def _new_forbidden(masks: _Masks, triples: list, valset: int, w: int, forb: int) -> int:
-    """Update the forbidden-value mask after appending value w.
-
-    New pattern occurrences with w as middle element have some earlier x
-    with x rel12 w; the union of the induced constraints on a future third
-    value is computable from min/max of the matching x's because each
-    relation defines a monotone family of masks.
-    """
-    for r12, r23, r13 in triples:
-        xs = valset & masks.rel_rev(r12, w)
-        if not xs:
-            continue
-        if r13 < 0:  # x < v for some matching x: v > min(xs)
-            u = masks.gt[(xs & -xs).bit_length() - 1]
-        elif r13 > 0:  # x > v: v < max(xs)
-            u = masks.lt[xs.bit_length() - 1]
-        else:
-            u = xs
-        forb |= masks.rel(r23, w) & u
-    return forb
-
-
-def _blocked_now(masks: _Masks, pairs: list, valset: int, w: int) -> bool:
-    return any(valset & masks.rel_rev(r, w) for r in pairs)
+    return start, extend
 
 
 def _require_size(what: str, size: int, bound: int | None) -> None:
-    """Refuse a negative size, and one beyond the exhaustive-search bound."""
+    """Refuse a negative size, and one beyond the exhaustive-search bound;
+    the message names the environment variable when it set the bound."""
     if size < 0:
         raise ValueError(f"{what} must be nonnegative")
     limit = oracle_bound(bound)
     if size > limit:
-        raise OracleBoundError(
-            f"{what} exceeds exhaustive-search bound {limit} ({BOUND_ENV_VAR} raises the bound)"
-        )
+        hint = f" ({BOUND_ENV_VAR} raises the bound)" if bound is None else ""
+        raise OracleBoundError(f"{what} exceeds exhaustive-search bound {limit}{hint}")
 
 
 def _sweep(
-    length: int, masks: _Masks, triples: list, pairs: list, alphabet: int | None, cover: int
+    length: int, patterns: Iterable[Pattern], size: int, alphabet: int | None, cover: int
 ) -> int:
-    """Count the words of the given length in which no pattern occurs.
+    """Count the words of the given length on the values [0, size) in which
+    no pattern occurs.
 
     One level maps each state (valset, forb) of the prefixes of one length
-    to the number of prefixes in that state; which letters may extend a
-    prefix, and to which state, depends on its state alone.  The letters
-    at position pos are the bits of ``alphabet``, or 0..pos when it is
-    None (inversion sequences).  Every letter of ``cover`` must occur: a
-    state missing more of them than there are positions left is dropped,
-    and the last level keeps only the states that hold them all.
+    to the number of prefixes in that state: the values used, and the
+    values that would complete a pattern.  Every pattern acts through
+    ``forb`` alone, so which letters may extend a prefix, and to which
+    state, depends on its state alone.  The letters at position pos are
+    the bits of ``alphabet``, or 0..pos when it is None (inversion
+    sequences).  Every letter of ``cover`` must occur: a state missing
+    more of them than there are positions left is dropped, and the last
+    level keeps only the states that hold them all.
     """
-    level = {(0, 0): 1}
+    start, extend = _compile(patterns, size)
+    level = {} if start is None else {(0, start): 1}
     for pos in range(length):
         letters = (1 << (pos + 1)) - 1 if alphabet is None else alphabet
         nxt: dict[tuple[int, int], int] = {}
@@ -156,10 +150,7 @@ def _sweep(
             while allowed:
                 bit = allowed & -allowed
                 allowed ^= bit
-                w = bit.bit_length() - 1
-                if pairs and _blocked_now(masks, pairs, valset, w):
-                    continue
-                state = (valset | bit, _new_forbidden(masks, triples, valset, w, forb))
+                state = (valset | bit, extend(valset, bit.bit_length() - 1, forb))
                 nxt[state] = nxt.get(state, 0) + mult
         level = nxt
     return sum(mult for (valset, _), mult in level.items() if not cover & ~valset)
@@ -168,10 +159,7 @@ def _sweep(
 def count_avoiders(n: int, patterns: PatternSet, bound: int | None = None) -> int:
     """|I_n(S)|, by a level sweep over the states of the avoiding prefixes."""
     _require_size(f"n={n}", n, bound)
-    triples, pairs, kill_all = _compile_patterns(patterns, n)
-    if kill_all:
-        return 0
-    return _sweep(n, _Masks(n), triples, pairs, None, 0)
+    return _sweep(n, patterns, n, None, 0)
 
 
 def enumerate_avoiders(
@@ -179,10 +167,7 @@ def enumerate_avoiders(
 ) -> list[InversionSequence]:
     """The avoiders themselves, in lexicographic order."""
     _require_size(f"n={n}", n, bound)
-    triples, pairs, kill_all = _compile_patterns(patterns, n)
-    if kill_all:
-        return []
-    masks = _Masks(n)
+    start, extend = _compile(patterns, n)
     out: list[InversionSequence] = []
     prefix: list[int] = []
 
@@ -193,17 +178,12 @@ def enumerate_avoiders(
         for w in range(pos + 1):
             if forb >> w & 1:
                 continue
-            if pairs and _blocked_now(masks, pairs, valset, w):
-                continue
             prefix.append(w)
-            rec(
-                pos + 1,
-                valset | (1 << w),
-                _new_forbidden(masks, triples, valset, w, forb),
-            )
+            rec(pos + 1, valset | (1 << w), extend(valset, w, forb))
             prefix.pop()
 
-    rec(0, 0, 0)
+    if start is not None:
+        rec(0, 0, start)
     return out
 
 
@@ -247,9 +227,6 @@ def count_words(constraint: WordConstraint, bound: int | None = None) -> int:
     """Count words satisfying the constraint, by a level sweep over prefix states."""
     k, b = constraint.length, constraint.max_letter
     _require_size(f"k={k}, b={b}", max(k, b), bound)
-    triples, pairs, kill_all = _compile_patterns(constraint.forbidden, k)
-    if kill_all:
-        return 0
     alphabet = ((1 << (b + 1)) - 1) & ~1  # letters 1..b
     cover = alphabet if constraint.surjective else 0
-    return _sweep(k, _Masks(b + 1), triples, pairs, alphabet, cover)
+    return _sweep(k, constraint.forbidden, b + 1, alphabet, cover)

@@ -146,9 +146,6 @@ class TruncatedSeries:
     def zero_coeff(self):
         return self.coeffs[0] * 0
 
-    def __getitem__(self, n: int):
-        return self.coeffs[n]
-
     def __eq__(self, other):
         return (
             isinstance(other, TruncatedSeries)

@@ -178,6 +178,7 @@ class TestWords:
         ("series --class 1176 --order -1", {}),
         ("count --patterns 0a1 --n 3", {}),
         ("count --patterns -1 --n 3", {}),
+        ("asymptotics --class 1420 --terms 60 --points 1", {}),
     ],
 )
 def test_bad_input_exits_2_with_one_error_line(command, env, capsys, monkeypatch):
@@ -208,6 +209,14 @@ def test_oracle_bound_error_names_the_variable(command, capsys, monkeypatch):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and "exceeds exhaustive-search bound 10" in err[0]
     assert BOUND_ENV_VAR in err[0]
+
+
+def test_bound_flag_error_does_not_name_the_variable(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["count", "--patterns", "001", "--n", "3", "--bound", "2"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: n=3 exceeds exhaustive-search bound 2"]
 
 
 def test_negative_series_order_names_the_option(capsys):

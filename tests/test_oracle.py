@@ -40,6 +40,10 @@ class TestCountAvoiders:
             ("011", "201"),
             ("0",),
             ("",),
+            ("01",),
+            ("10",),
+            ("10", "012"),
+            ("01", "210"),
         ],
     )
     def test_matches_unpruned_filter(self, specs):
@@ -127,7 +131,15 @@ def brute_words(constraint):
 class TestCountWords:
     @pytest.mark.parametrize("surjective", [False, True])
     @pytest.mark.parametrize(
-        "forbidden", [(), ("212", "112", "213"), ("111", "212", "112", "213"), ("1",)]
+        "forbidden",
+        [
+            (),
+            ("212", "112", "213"),
+            ("111", "212", "112", "213"),
+            ("1",),
+            ("21",),
+            ("12", "111"),
+        ],
     )
     def test_matches_brute_force(self, forbidden, surjective):
         for k in range(7):
