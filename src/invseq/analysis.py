@@ -101,7 +101,12 @@ class TripleClassification:
         return key
 
 
-def classify_triples(n_max: int = 9, bound: int | None = None) -> TripleClassification:
+CLASSIFY_DEPTH = 9  # classify counts n = 0..CLASSIFY_DEPTH unless told otherwise
+
+
+def classify_triples(
+    n_max: int = CLASSIFY_DEPTH, bound: int | None = None
+) -> TripleClassification:
     """Group all 343 relation triples by pattern set and counting sequence.
 
     Two triples whose induced pattern sets agree after closure under the
@@ -159,15 +164,20 @@ GROWTH_REFERENCE: dict[ClassId, GrowthInfo] = {
 }
 
 
-def check_root_constants(class_id: ClassId, tol: float = 1e-9) -> float:
+ROOT_TOL = 1e-9  # half-width of the interval that must hold a root of mu's polynomial
+
+
+def check_root_constants(class_id: ClassId) -> float:
     """Certify the tabulated mu and return it: a stored integer polynomial
-    must change sign, evaluated in exact rationals, across mu -/+ tol."""
+    must change sign, evaluated in exact rationals, across mu -/+ ROOT_TOL."""
     info = GROWTH_REFERENCE[class_id]
     if info.mu_polynomial is not None:
-        mu, eps, poly = Fraction(info.mu), Fraction(tol), info.mu_polynomial
+        mu, eps, poly = Fraction(info.mu), Fraction(ROOT_TOL), info.mu_polynomial
         lo, hi = (sum(c * x ** i for i, c in enumerate(poly)) for x in (mu - eps, mu + eps))
         if lo * hi > 0:
-            raise ArithmeticError(f"{class_id.value}: no root of its polynomial within {tol} of mu")
+            raise ArithmeticError(
+                f"{class_id.value}: no root of its polynomial within {ROOT_TOL} of mu"
+            )
     return info.mu
 
 
@@ -229,26 +239,27 @@ class StretchedFit:
     residual: float
 
 
-def fit_stretched(
-    counts: list[int],
-    base: float,
-    sigma: float = 0.375,
-    n_min: int = 50,
-) -> StretchedFit:
+STRETCHED_SIGMA = 0.375  # the exponent sigma, held fixed
+STRETCHED_N_MIN = 50  # the fit uses n >= STRETCHED_N_MIN
+
+
+def fit_stretched(counts: list[int], base: float) -> StretchedFit:
     """Least-squares fit of log I_n = log C + g log n + (log mu1) n^sigma + n log base.
 
-    The exponent sigma is held fixed; this is a diagnostic fit, not a
-    confirmed functional form.
+    The exponent sigma is held fixed at STRETCHED_SIGMA; this is a
+    diagnostic fit, not a confirmed functional form.
     """
     n_max = len(counts) - 1
-    if n_max < n_min + 2:
-        raise ValueError(f"the stretched fit needs terms up to n = {n_min + 2}, got {n_max}")
-    ns = range(n_min, n_max + 1)
-    ys = [_log_int(counts[n]) - n * math.log(base) for n in ns]
-    columns = [[1.0] * len(ns), [math.log(n) for n in ns], [n ** sigma for n in ns]]
+    if n_max < STRETCHED_N_MIN + 2:
+        raise ValueError(
+            f"the stretched fit needs terms up to n = {STRETCHED_N_MIN + 2}, got {n_max}"
+        )
+    ns = range(STRETCHED_N_MIN, n_max + 1)
+    ys = [math.log(counts[n]) - n * math.log(base) for n in ns]
+    columns = [[1.0] * len(ns), [math.log(n) for n in ns], [n ** STRETCHED_SIGMA for n in ns]]
     (log_c, g, log_mu1), res = _least_squares(columns, ys)
     residual = math.sqrt(math.fsum(r * r for r in res) / len(ns))
-    return StretchedFit(base, sigma, g, log_mu1, log_c, residual)
+    return StretchedFit(base, STRETCHED_SIGMA, g, log_mu1, log_c, residual)
 
 
 def _least_squares(columns: list[list[float]], ys: list[float]) -> tuple[list[float], list[float]]:
@@ -271,9 +282,3 @@ def _least_squares(columns: list[list[float]], ys: list[float]) -> tuple[list[fl
         x.insert(0, u[-1][k] - math.fsum(u[j][k] * xj for j, xj in enumerate(x, k + 1)))
     return x, qs[-1]
 
-
-def _log_int(v: int) -> float:
-    """Natural log of a (possibly enormous) positive integer."""
-    if v <= 0:
-        raise ValueError("log of a nonpositive count")
-    return math.log(v)

@@ -17,6 +17,7 @@ from typing import Iterable, Iterator, Sequence
 
 from . import combinat
 from .analysis import (
+    CLASSIFY_DEPTH,
     GROWTH_REFERENCE,
     classify_triples,
     estimate_growth,
@@ -374,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=cmd_series)
 
     p = sub.add_parser("classify", help="group the 343 relation triples")
-    p.add_argument("--max-n", type=int, default=9)
+    p.add_argument("--max-n", type=int, default=CLASSIFY_DEPTH)
     p.add_argument("--bound", type=int)
     _add_format(p, choices=("table", "json-lines"))
     p.set_defaults(run=cmd_classify)

@@ -1,11 +1,12 @@
 """Generating-tree counters for the 14 avoidance classes.
 
-Each class has a succession rule: a root label, an expansion map sending a
-label at depth n to a multiset of labels at depth n+1, and a predicate
-selecting which labels correspond to counted objects (some trees carry
-phantom labels that must be excluded).  Counting is dynamic programming on
-the label census per depth, which is polynomial-time in contrast to the
-exponential oracle.
+A class is its triple of relations; ``ClassId.patterns`` derives its
+pattern set from the triple, once per class.  Each class has a succession
+rule: a root label, an expansion map sending a label at depth n to a
+multiset of labels at depth n+1, and a predicate selecting which labels
+correspond to counted objects (some trees carry phantom labels that must
+be excluded).  Counting is dynamic programming on the label census per
+depth, which is polynomial-time in contrast to the exponential oracle.
 
 Every rule carries two implementations: ``expand``, a direct transcription
 of the succession rule used as the reference semantics, and one census
@@ -39,12 +40,13 @@ leading runs of zeros (p, s) or the prefix plus remaining commitments
 from __future__ import annotations
 
 import enum
+from functools import cache
 from itertools import accumulate, islice, repeat, zip_longest
 from operator import add, mul
 from typing import Iterator, NamedTuple
 
 from .combinat import multiplicity_m, multiplicity_w
-from .core import PatternSet, RelationTriple
+from .core import PatternSet, RelationTriple, triple_to_pattern_set
 
 
 class ClassId(enum.Enum):
@@ -75,7 +77,7 @@ class ClassId(enum.Enum):
 
     @property
     def patterns(self) -> PatternSet:
-        return PatternSet.of(*_CLASS_PATTERNS[self])
+        return _patterns_of(self)
 
     @property
     def i7(self) -> int:
@@ -107,22 +109,12 @@ _CLASS_TRIPLES = {
     ClassId.C2106: ">,<=,>=",
 }
 
-_CLASS_PATTERNS = {
-    ClassId.C214: ("000", "010", "100", "110", "120", "210"),
-    ClassId.C247: ("000", "010", "110", "120"),
-    ClassId.C663A: ("010", "101", "110", "120", "201", "210"),
-    ClassId.C733: ("010", "101", "120", "201", "210"),
-    ClassId.C759: ("010", "110", "120"),
-    ClassId.C830: ("010", "120", "210"),
-    ClassId.C1016: ("100", "102", "201", "210"),
-    ClassId.C1176: ("100", "102", "201"),
-    ClassId.C1253: ("102", "201", "210"),
-    ClassId.C1420: ("100", "110", "120", "201", "210"),
-    ClassId.C1509: ("100", "110", "120", "210"),
-    ClassId.C1833A: ("110", "120", "201", "210"),
-    ClassId.C1953A: ("110", "120", "210"),
-    ClassId.C2106: ("100", "101", "201"),
-}
+
+@cache
+def _patterns_of(cid: ClassId) -> PatternSet:
+    """A class is its triple: the pattern set is derived, once per class."""
+    return triple_to_pattern_set(cid.triple)
+
 
 # Pattern sets of the Wilf-equivalent partner classes (no succession rule
 # here; enumerable through the oracle).
@@ -201,8 +193,6 @@ class _Rule1176Family(SuccessionRule):
     b and c label phantom objects and are never counted.
     """
 
-    variant: str  # "1176" | "1253" | "1016"
-
     def root(self) -> Label:
         return Label("a", (0, 0))
 
@@ -211,7 +201,6 @@ class _Rule1176Family(SuccessionRule):
 
     def expand(self, label: Label, depth: int) -> Iterator[tuple[Label, int]]:
         tag = label.tag
-        v = self.variant
         if tag == "a":
             _require_depth(label, depth)
             n, h = label.params
@@ -225,24 +214,24 @@ class _Rule1176Family(SuccessionRule):
             yield Label("b", label.params), 1
             yield Label("c", label.params), 1
         elif tag == "c":
-            if v == "1253":
+            if self.class_id is ClassId.C1253:
                 yield Label("c", label.params), 1
             yield Label("d", label.params), 1
         elif tag == "d":
-            if v == "1253":
+            if self.class_id is ClassId.C1253:
                 yield Label("d", label.params), 2
             else:
                 yield Label("d", label.params), 1
-            if v == "1176":
+            if self.class_id is ClassId.C1176:
                 (k,) = label.params
                 for i in range(k):
                     yield Label("e", (i,)), 1
         elif tag == "e":
             (ell,) = label.params
-            if v == "1176":
+            if self.class_id is ClassId.C1176:
                 for i in range(ell):
                     yield Label("e", (i,)), 1
-            elif v == "1253":
+            elif self.class_id is ClassId.C1253:
                 yield Label("e", (ell,)), 1
             # 1016: e-labels are leaves
         else:
@@ -274,7 +263,6 @@ def _strict_suffix_sums(xs: list[int]) -> list[int]:
 
 class Rule1176(_Rule1176Family):
     class_id = ClassId.C1176
-    variant = "1176"
 
     def step_state(self, state, depth: int):
         a, b, c, d, e = state
@@ -286,7 +274,6 @@ class Rule1176(_Rule1176Family):
 
 class Rule1253(_Rule1176Family):
     class_id = ClassId.C1253
-    variant = "1253"
 
     def step_state(self, state, depth: int):
         a, b, c, d, e = state
@@ -299,7 +286,6 @@ class Rule1253(_Rule1176Family):
 
 class Rule1016(_Rule1176Family):
     class_id = ClassId.C1016
-    variant = "1016"
 
     def step_state(self, state, depth: int):
         a, b, c, d, e = state

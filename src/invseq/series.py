@@ -10,7 +10,9 @@ Three independent routes to the counting series exist for the algebraic
 classes: the generating-tree census (:mod:`invseq.gentree`), the closed
 forms expanded here (:func:`expand_closed_form`), and order-by-order
 iteration of the catalytic functional equations
-(:func:`iterate_catalytic`).  The test-suite confirms they coincide.
+(:func:`iterate_catalytic`).  The test-suite confirms they coincide.  The
+square-root forms of 1176, 1253 and 1016 and their annihilators come from
+one table, ``QUADRATIC_FORMS``.
 """
 
 from __future__ import annotations
@@ -363,64 +365,50 @@ def bounded_roots_733(order: int) -> tuple[TruncatedSeries, TruncatedSeries]:
     return x1, x3
 
 
-def _sqrt_poly(poly: Sequence, order: int) -> TruncatedSeries:
-    return TruncatedSeries.from_poly(poly, order).sqrt()
+# Square-root closed forms F = (p + q sqrt(R)) / d, as (p, q, d, R) in z;
+# their annihilators in MINIMAL_POLYNOMIALS are derived from the same entries.
+QUADRATIC_FORMS = {
+    ClassId.C1176: ([2, 1, -10, 4], [-2, 3], [0, 8, -16, 8], [1, -4, -4]),
+    ClassId.C1253: ([2, -15, 32, -16], [0, 1, 0, -4], [2, -16, 42, -44, 16], [1, -4]),
+    ClassId.C1016: ([3, -20, 36, -16], [-1, 8, -12, 2], [2, -12, 18, -8], [1, -4]),
+}
 
-
-CLOSED_FORM_CLASSES = (
-    ClassId.C1176,
-    ClassId.C1253,
-    ClassId.C1016,
-    ClassId.C663A,
-    ClassId.C1420,
-    ClassId.C1833A,
-    ClassId.C733,
-)
+CLOSED_FORM_CLASSES = (*QUADRATIC_FORMS, *CUBIC_KERNELS, *QUARTIC_KERNELS)
 
 
 def expand_closed_form(class_id: ClassId, order: int) -> list[int]:
     """Coefficients of the solved generating function, exact to z^(order-1).
 
-    They are ints: each denominator is monic but for a factor 8 or 2,
+    They are ints: in each square-root form, d / z^v (v the valuation of d)
+    is an integer lead times a monic integer polynomial, and the lead is
     divided out last from coefficients that are multiples of it.
     """
     n = order + 2  # headroom for the valuation shifts
     P = lambda *cs: TruncatedSeries.from_poly(cs, n)
-    if class_id == ClassId.C1176:
-        s = _sqrt_poly([1, -4, -4], n)
-        num = P(2, 1, -10, 4) - P(2, -3) * s
-        f = num.shift(-1) / (P(1, -1) * P(1, -1)) / 8
-    elif class_id == ClassId.C1253:
-        s = _sqrt_poly([1, -4], n)
-        num = P(2, -15, 32, -16) + P(0, 1) * P(1, -2) * P(1, 2) * s
-        den = P(1, -1) * P(1, -1) * P(1, -2) * P(1, -4)
-        f = num / den / 2
-    elif class_id == ClassId.C1016:
-        s = _sqrt_poly([1, -4], n)
-        num = P(1, -4) * P(1, -2) * P(3, -2) - P(1, -8, 12, -2) * s
-        den = P(1, -1) * P(1, -1) * P(1, -4)
-        f = num / den / 2
-    elif class_id == ClassId.C663A:
-        kern = [TruncatedSeries.from_poly(cs, n) for cs in CUBIC_KERNELS[class_id]]
-        x = kernel_root(kern, 1, n)
-        num = (x - 1) * (1 + P(0, -1, 1) * x)
-        f = num.shift(-1) / x
-    elif class_id == ClassId.C1420:
-        kern = [TruncatedSeries.from_poly(cs, n) for cs in CUBIC_KERNELS[class_id]]
-        x = kernel_root(kern, 1, n)
-        num = P(1, 1) * (x - 1) - P(0, 1, -1) * x * x
-        f = num.shift(-1) / (P(1, 1) * x)
-    elif class_id == ClassId.C1833A:
+    if class_id in QUADRATIC_FORMS:
+        p, q, d, R = QUADRATIC_FORMS[class_id]
+        v = next(i for i, c in enumerate(d) if c)  # d = z^v (d[v] + ...)
+        num = P(*p) + P(*q) * P(*R).sqrt()
+        f = num.shift(-v) / (P(*d[v:]) / d[v]) / d[v]
+    elif class_id in CUBIC_KERNELS:
+        x = kernel_root([P(*cs) for cs in CUBIC_KERNELS[class_id]], 1, n)
+        if class_id == ClassId.C663A:
+            num = (x - 1) * (1 + P(0, -1, 1) * x)
+            f = num.shift(-1) / x
+        else:  # 1420
+            num = P(1, 1) * (x - 1) - P(0, 1, -1) * x * x
+            f = num.shift(-1) / (P(1, 1) * x)
+    elif class_id in QUARTIC_KERNELS:
         e1, e2 = hensel_quadratic_factors(*QUARTIC_KERNELS[class_id], n)
-        w = e2 - e1 + 1  # (X1 - 1)(X2 - 1); vanishes at z = 0
-        num = w * (e2.shift(1) - 1)
-        den = e2 * (w.shift(1) + 1)
-        f = num.shift(-1) / den
-    elif class_id == ClassId.C733:
-        e1, e2 = hensel_quadratic_factors(*QUARTIC_KERNELS[class_id], n)
-        num = 1 - e1.shift(1)
-        den = 1 - e1.shift(1) - P(0, 1) + e2.shift(2)
-        f = num / den
+        if class_id == ClassId.C1833A:
+            w = e2 - e1 + 1  # (X1 - 1)(X2 - 1); vanishes at z = 0
+            num = w * (e2.shift(1) - 1)
+            den = e2 * (w.shift(1) + 1)
+            f = num.shift(-1) / den
+        else:  # 733
+            num = 1 - e1.shift(1)
+            den = 1 - e1.shift(1) - P(0, 1) + e2.shift(2)
+            f = num / den
     else:
         raise ValueError(f"no closed form for class {class_id.value}")
     return f.coeffs[:order]
@@ -613,15 +601,7 @@ MINIMAL_POLYNOMIALS: dict[ClassId, list[list]] = {
         [-1, -3, -6, -2],
         [0, 1, 0, 3],
     ],
-    ClassId.C1176: _derived_quadratic(
-        [2, 1, -10, 4], [-2, 3], [0, 8, -16, 8], [1, -4, -4]
-    ),
-    ClassId.C1253: _derived_quadratic(
-        [2, -15, 32, -16], [0, 1, 0, -4], [2, -16, 42, -44, 16], [1, -4]
-    ),
-    ClassId.C1016: _derived_quadratic(
-        [3, -20, 36, -16], [-1, 8, -12, 2], [2, -12, 18, -8], [1, -4]
-    ),
+    **{cid: _derived_quadratic(*form) for cid, form in QUADRATIC_FORMS.items()},
 }
 
 MINIMAL_POLYNOMIAL_DEGREE = {cid: len(poly) - 1 for cid, poly in MINIMAL_POLYNOMIALS.items()}

@@ -4,10 +4,21 @@ from pathlib import Path
 
 import pytest
 
+from invseq.gentree import ClassId
+
 # The census benchmark's references: sha256 digests of count_class(cid, d)
 # for d = 10, 20, ..., 210 and every class's growth fit at d = 210, recorded
 # with the benchmark and cross-checked there against independent routes.
 CENSUS_REFS = Path(__file__).resolve().parents[1] / "perfbench" / "refs" / "census.json"
+
+# Published initial terms of four counting sequences, which the closed forms
+# must reproduce.
+PUBLISHED_PREFIXES = {
+    ClassId.C1016: [1, 1, 2, 6, 21, 76, 277, 1016, 3756, 13998],
+    ClassId.C663A: [1, 1, 2, 5, 15, 50, 178, 663, 2552],
+    ClassId.C1833A: [1, 1, 2, 6, 22, 90, 396, 1833, 8801, 43441, 219092],
+    ClassId.C733: [1, 1, 2, 5, 15, 51, 188, 733, 2979, 12495, 53708],
+}
 
 
 @lru_cache(maxsize=None)

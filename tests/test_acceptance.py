@@ -10,6 +10,7 @@ from invseq import cli
 from invseq.analysis import GROWTH_REFERENCE, estimate_growth
 from invseq.gentree import ClassId, count_class
 from invseq.series import MINIMAL_POLYNOMIAL_DEGREE, MINIMAL_POLYNOMIALS, expand_closed_form
+from conftest import PUBLISHED_PREFIXES
 
 # -- pinned tolerances and reference values ---------------------------------
 
@@ -19,13 +20,6 @@ MU_TIGHT = {cid: (GROWTH_REFERENCE[cid].mu, 210) for cid in MINIMAL_POLYNOMIALS}
 MU_LOOSE = {
     cid: (GROWTH_REFERENCE[cid].mu, 310)
     for cid in (ClassId.C214, ClassId.C830, ClassId.C1509, ClassId.C1953A)
-}
-
-PUBLISHED_PREFIXES = {
-    ClassId.C1016: [1, 1, 2, 6, 21, 76, 277, 1016, 3756, 13998],
-    ClassId.C663A: [1, 1, 2, 5, 15, 50, 178, 663, 2552],
-    ClassId.C1833A: [1, 1, 2, 6, 22, 90, 396, 1833, 8801, 43441, 219092],
-    ClassId.C733: [1, 1, 2, 5, 15, 51, 188, 733, 2979, 12495, 53708],
 }
 
 

@@ -7,7 +7,6 @@ import pytest
 from invseq.analysis import (
     GROWTH_REFERENCE,
     PATTERN_IMPLICATIONS,
-    _log_int,
     check_root_constants,
     classify_triples,
     close_pattern_set,
@@ -200,13 +199,3 @@ class TestStretchedFit:
         a = fit_stretched(counts, 8.0)
         b = fit_stretched(counts, 8.0)
         assert a == b
-
-
-class TestLogInt:
-    def test_matches_math_log(self):
-        for v in [1, 7, 10 ** 15, 2 ** 900 + 12345, 3 ** 4000]:
-            assert abs(_log_int(v) - math.log(v)) < 1e-9 * max(1, math.log(v))
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            _log_int(0)

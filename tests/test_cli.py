@@ -1,12 +1,14 @@
+import importlib.util
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from invseq import cli
+from invseq import cli, gentree
 from invseq.cli import main
 from invseq.gentree import ClassId
 from invseq.oracle import BOUND_ENV_VAR
@@ -278,3 +280,21 @@ class TestVerifyAll:
         assert code == 1
         assert lines[3] == "FAIL kernel roots: raised ValueError: not a simple root"
         assert sum(l.startswith("PASS") for l in lines) == 5
+
+
+def test_traced_benchmark_finds_every_entry_point():
+    """The benchmark's tracer wraps invseq's entry points by name; a renamed
+    one makes install() raise, and uninstall() puts every original back."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    original = gentree.count_class
+    tracer = spans.Tracer(run_id="tier-1", clock=time.perf_counter)
+    try:
+        tracer.install()
+        gentree.count_class(ClassId.C214, 5)
+    finally:
+        tracer.uninstall()
+    assert gentree.count_class is original
+    assert tracer.spans[0][0] == "gentree.count_class"

@@ -60,12 +60,6 @@ class TestClassId:
         with pytest.raises(ValueError):
             ClassId.parse("9999")
 
-    def test_triple_induces_pattern_set(self):
-        from invseq.core import triple_to_pattern_set
-
-        for cid in ALL_CLASSES:
-            assert triple_to_pattern_set(cid.triple) == cid.patterns
-
     def test_i7(self):
         assert ClassId.C663A.i7 == 663
         assert ClassId.C2106.i7 == 2106

@@ -139,6 +139,7 @@ class TestCountWords:
             ("1",),
             ("21",),
             ("12", "111"),
+            ("21", "112"),
         ],
     )
     def test_matches_brute_force(self, forbidden, surjective):

@@ -21,6 +21,7 @@ from invseq.series import (
     kernel_root,
     verify_minimal_polynomial,
 )
+from conftest import PUBLISHED_PREFIXES
 
 
 class TestQSqrt5:
@@ -101,14 +102,6 @@ class TestIntegerCoefficients:
     def test_hensel_factors(self, cid):
         e1, e2 = hensel_quadratic_factors(*QUARTIC_KERNELS[cid], SERIES_ORDER)
         assert _all_ints(e1.coeffs) and _all_ints(e2.coeffs)
-
-
-PUBLISHED_PREFIXES = {
-    ClassId.C1016: [1, 1, 2, 6, 21, 76, 277, 1016, 3756, 13998],
-    ClassId.C663A: [1, 1, 2, 5, 15, 50, 178, 663, 2552],
-    ClassId.C1833A: [1, 1, 2, 6, 22, 90, 396, 1833, 8801, 43441, 219092],
-    ClassId.C733: [1, 1, 2, 5, 15, 51, 188, 733, 2979, 12495, 53708],
-}
 
 
 class TestClosedForms:
