@@ -12,10 +12,11 @@ forbidden pattern".
 
 What a prefix may become depends on its state alone, so counting sweeps
 forward one position at a time over a map from state to the number of
-prefixes in it (the "label = state" view of a generating tree).
-Enumeration needs the sequences themselves and stays a depth-first search;
-the test-suite checks the two against each other, and both against a
-no-pruning filter of all n! sequences with :func:`invseq.core.avoids_all`.
+prefixes in it (the "label = state" view of a generating tree); the last
+position is tallied from the level before it, never built.  Enumeration
+needs the sequences themselves and stays a depth-first search; the tests
+check the two against each other, and both against a no-pruning filter
+of all n! sequences with :func:`invseq.core.avoids_all`.
 """
 
 from __future__ import annotations
@@ -40,13 +41,16 @@ class OracleBoundError(ValueError):
 
 
 def oracle_bound(override: int | None = None) -> int:
-    if override is not None:
-        return override
-    raw = os.environ.get(BOUND_ENV_VAR, str(DEFAULT_BOUND))
+    name, raw = "--bound", override
+    if override is None:
+        name, raw = BOUND_ENV_VAR, os.environ.get(BOUND_ENV_VAR, str(DEFAULT_BOUND))
     try:
-        return int(raw)
+        value = int(raw)
     except ValueError:
-        raise ValueError(f"{BOUND_ENV_VAR} must be an integer, not {raw!r}") from None
+        raise ValueError(f"{name} must be an integer, not {raw!r}") from None
+    if value < 0:
+        raise ValueError(f"{name} must be nonnegative, not {value}")
+    return value
 
 
 def _stand(a: int, b: int, w: int, full: int) -> int:
@@ -135,12 +139,15 @@ def _sweep(
     state, depends on its state alone.  The letters at position pos are
     the bits of ``alphabet``, or 0..pos when it is None (inversion
     sequences).  Every letter of ``cover`` must occur: a state missing
-    more of them than there are positions left is dropped, and the last
-    level keeps only the states that hold them all.
+    more of them than there are positions left is dropped.  The last level
+    is never built, only tallied from the one before it: a state adds its
+    allowed letters, or only its one missing letter of ``cover``.
     """
     start, extend = _compile(patterns, size)
+    if length == 0:
+        return int(start is not None and not cover)
     level = {} if start is None else {(0, start): 1}
-    for pos in range(length):
+    for pos in range(length - 1):
         letters = (1 << (pos + 1)) - 1 if alphabet is None else alphabet
         nxt: dict[tuple[int, int], int] = {}
         for (valset, forb), mult in level.items():
@@ -153,7 +160,12 @@ def _sweep(
                 state = (valset | bit, extend(valset, bit.bit_length() - 1, forb))
                 nxt[state] = nxt.get(state, 0) + mult
         level = nxt
-    return sum(mult for (valset, _), mult in level.items() if not cover & ~valset)
+    letters = (1 << length) - 1 if alphabet is None else alphabet
+    return sum(
+        mult * (letters & ~forb & (cover & ~valset or letters)).bit_count()
+        for (valset, forb), mult in level.items()
+        if (cover & ~valset).bit_count() < 2
+    )
 
 
 def count_avoiders(n: int, patterns: PatternSet, bound: int | None = None) -> int:

@@ -459,28 +459,6 @@ def _p1(p: Sequence[int]) -> int:
     return sum(p)
 
 
-CATALYTIC_CLASSES = (
-    ClassId.C1176,
-    ClassId.C1253,
-    ClassId.C1016,
-    ClassId.C663A,
-    ClassId.C1420,
-)
-
-
-def iterate_catalytic(class_id: ClassId, order: int) -> list[int]:
-    """Solve the class's catalytic functional-equation system to z^(order-1)."""
-    if class_id in (ClassId.C1176, ClassId.C1253, ClassId.C1016):
-        iterate = _iterate_right_family
-    elif class_id in (ClassId.C663A, ClassId.C1420):
-        iterate = _iterate_left_pair
-    else:
-        raise ValueError(f"no catalytic system for class {class_id.value}")
-    if order < 0:
-        raise ValueError(f"order must be nonnegative, got {order}")
-    return iterate(class_id, order)[:order]  # each iteration always yields z^0
-
-
 def _iterate_right_family(class_id: ClassId, order: int) -> list[int]:
     """The five-function system shared by classes 1176, 1253 and 1016.
 
@@ -571,6 +549,26 @@ def _iterate_left_pair(class_id: ClassId, order: int) -> list[int]:
             A, B = A_new, B_new
             out.append(_p1(A) + _p1(B))
     return out
+
+
+_CATALYTIC_SYSTEMS = {
+    ClassId.C1176: _iterate_right_family,
+    ClassId.C1253: _iterate_right_family,
+    ClassId.C1016: _iterate_right_family,
+    ClassId.C663A: _iterate_left_pair,
+    ClassId.C1420: _iterate_left_pair,
+}
+CATALYTIC_CLASSES = tuple(_CATALYTIC_SYSTEMS)
+
+
+def iterate_catalytic(class_id: ClassId, order: int) -> list[int]:
+    """Solve the class's catalytic functional-equation system to z^(order-1)."""
+    iterate = _CATALYTIC_SYSTEMS.get(class_id)
+    if iterate is None:
+        raise ValueError(f"no catalytic system for class {class_id.value}")
+    if order < 0:
+        raise ValueError(f"order must be nonnegative, got {order}")
+    return iterate(class_id, order)[:order]  # each iteration always yields z^0
 
 
 # ---------------------------------------------------------------------------

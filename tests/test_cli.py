@@ -11,7 +11,9 @@ import pytest
 from invseq import cli, gentree
 from invseq.cli import main
 from invseq.gentree import ClassId
-from invseq.oracle import BOUND_ENV_VAR
+from invseq.oracle import BOUND_ENV_VAR, DEFAULT_BOUND
+
+OVER = DEFAULT_BOUND + 1
 
 
 def run(capsys, *argv):
@@ -171,7 +173,7 @@ class TestWords:
         ("asymptotics --class 1420 --terms 10", {}),
         ("asymptotics --class 247 --terms 40", {}),
         ("count --patterns 001 --n 3", {BOUND_ENV_VAR: "abc"}),
-        ("verify-all --n 11", {}),
+        (f"verify-all --n {OVER}", {}),
         ("verify-all --order 4", {}),
         ("verify-all --max-k 0", {}),
         ("asymptotics --class 1420 --terms 60 --points 0", {}),
@@ -181,6 +183,8 @@ class TestWords:
         ("count --patterns 0a1 --n 3", {}),
         ("count --patterns -1 --n 3", {}),
         ("asymptotics --class 1420 --terms 60 --points 1", {}),
+        ("classify --max-n 3 --bound -1", {}),
+        ("count --patterns 001 --n 3", {BOUND_ENV_VAR: "-1"}),
     ],
 )
 def test_bad_input_exits_2_with_one_error_line(command, env, capsys, monkeypatch):
@@ -198,9 +202,9 @@ def test_bad_input_exits_2_with_one_error_line(command, env, capsys, monkeypatch
 @pytest.mark.parametrize(
     "command",
     [
-        "classify --max-n 11",
-        "count --patterns 001 --n 11",
-        "words --k 11 --b 2 --rules R1R2",
+        f"classify --max-n {OVER}",
+        f"count --patterns 001 --n {OVER}",
+        f"words --k {OVER} --b 2 --rules R1R2",
     ],
 )
 def test_oracle_bound_error_names_the_variable(command, capsys, monkeypatch):
@@ -209,7 +213,7 @@ def test_oracle_bound_error_names_the_variable(command, capsys, monkeypatch):
         main(command.split())
     assert exc.value.code == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and "exceeds exhaustive-search bound 10" in err[0]
+    assert len(err) == 1 and f"exceeds exhaustive-search bound {DEFAULT_BOUND}" in err[0]
     assert BOUND_ENV_VAR in err[0]
 
 

@@ -89,7 +89,8 @@ class TestBound:
 
     def test_override_wins(self):
         # avoiding 00 forces all-distinct values, hence a unique sequence
-        assert count_avoiders(DEFAULT_BOUND + 1, PatternSet.of("00"), bound=12) == 1
+        n = DEFAULT_BOUND + 1
+        assert count_avoiders(n, PatternSet.of("00"), bound=n) == 1
 
     def test_env_var(self, monkeypatch):
         monkeypatch.setenv("INVSEQ_ORACLE_BOUND", "3")
@@ -128,6 +129,15 @@ def brute_words(constraint):
     return total
 
 
+def assert_words_match_brute_force(forbidden, surjective, max_k, max_b):
+    for k in range(max_k + 1):
+        for b in range(1, max_b + 1):
+            if surjective and b > k:
+                continue
+            c = WordConstraint.of(k, b, forbidden, surjective)
+            assert count_words(c) == brute_words(c), (k, b, forbidden, surjective)
+
+
 class TestCountWords:
     @pytest.mark.parametrize("surjective", [False, True])
     @pytest.mark.parametrize(
@@ -143,12 +153,15 @@ class TestCountWords:
         ],
     )
     def test_matches_brute_force(self, forbidden, surjective):
-        for k in range(7):
-            for b in range(1, 6):
-                if surjective and b > k:
-                    continue
-                c = WordConstraint.of(k, b, forbidden, surjective)
-                assert count_words(c) == brute_words(c), (k, b, forbidden, surjective)
+        assert_words_match_brute_force(forbidden, surjective, 6, 5)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.lists(st.lists(st.integers(1, 3), min_size=1, max_size=3), min_size=1, max_size=3),
+        st.booleans(),
+    )
+    def test_random_sets_match_brute_force(self, forbidden, surjective):
+        assert_words_match_brute_force(forbidden, surjective, 6, 4)
 
     def test_forbidden_words_normalised(self):
         a = WordConstraint.of(5, 3, [(2, 1, 2)])
