@@ -101,7 +101,7 @@ class TripleClassification:
         return key
 
 
-CLASSIFY_DEPTH = 9  # classify counts n = 0..CLASSIFY_DEPTH unless told otherwise
+CLASSIFY_DEPTH = 10  # classify counts n = 0..CLASSIFY_DEPTH unless told otherwise
 
 
 def classify_triples(

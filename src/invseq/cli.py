@@ -227,7 +227,7 @@ def cmd_words(args) -> int:
 
 # Depths of the verification battery: the defaults of verify-all and the
 # depths of the acceptance tests.  A series order is a number of coefficients.
-ORACLE_DEPTH = 9
+ORACLE_DEPTH = 10
 SERIES_ORDER = 61
 WORDS_MAX_K = 9
 IDENTITY_MAX_ELL = 12

@@ -11,6 +11,7 @@ formalisms are linked by :func:`triple_to_pattern_set`.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Iterable, Iterator, Sequence
@@ -224,13 +225,14 @@ def avoids_triple(seq: InversionSequence, triple: RelationTriple) -> bool:
     return True
 
 
-def length3_patterns() -> list[Pattern]:
-    """All reduced words of length 3 over {0,1,2} (there are 13)."""
+@functools.cache
+def length3_patterns() -> tuple[Pattern, ...]:
+    """All reduced words of length 3 over {0,1,2} (there are 13), built once."""
     out = []
     for w in product(range(3), repeat=3):
         if set(w) == set(range(max(w) + 1)):
             out.append(Pattern(w))
-    return sorted(out)
+    return tuple(sorted(out))
 
 
 def triple_to_pattern_set(triple: RelationTriple) -> PatternSet:

@@ -4,19 +4,20 @@ A prefix is abandoned as soon as it contains a forbidden pattern, which can
 never disappear by extending on the right.  The pattern bookkeeping uses
 value bitmasks: the state of a prefix is the set of values it uses and the
 set ``forb`` of values that would complete a forbidden pattern.  The
-patterns are compiled once per alphabet into per-letter masks, and every
-pattern, whatever its length, acts through ``forb`` alone, so checking a
-candidate extension is one bit test and the update a handful of integer
-operations, but the semantics are exactly "some subsequence reduces to a
-forbidden pattern".
+patterns are compiled into per-letter masks, and every pattern, whatever
+its length, acts through ``forb`` alone, so checking a candidate
+extension is one bit test and the update a handful of integer operations,
+but the semantics are exactly "some subsequence reduces to a forbidden
+pattern".
 
 What a prefix may become depends on its state alone, so counting sweeps
 forward one position at a time over a map from state to the number of
 prefixes in it (the "label = state" view of a generating tree); the last
-position is tallied from the level before it, never built.  Enumeration
-needs the sequences themselves and stays a depth-first search; the tests
-check the two against each other, and both against a no-pruning filter
-of all n! sequences with :func:`invseq.core.avoids_all`.
+position is tallied from the level before it, never built.  One sweep per
+pattern set serves every n: the last set's sweep is kept and resumed.
+Enumeration needs the sequences themselves and stays a depth-first
+search; the tests check the two against each other, and both against a
+no-pruning filter of all n! sequences.
 """
 
 from __future__ import annotations
@@ -53,17 +54,18 @@ def oracle_bound(override: int | None = None) -> int:
     return value
 
 
-def _stand(a: int, b: int, w: int, full: int) -> int:
-    """The values x in ``full`` that stand to w as the digit a stands to b."""
+def _stand(a: int, b: int, w: int) -> int:
+    """The values x that stand to w as the digit a stands to b.  The mask of
+    the values above w has no top, so no mask depends on the alphabet."""
     if a < b:
         return (1 << w) - 1
     if a > b:
-        return full & -(2 << w)
+        return -(2 << w)
     return 1 << w
 
 
 def _compile(patterns: Iterable[Pattern], size: int) -> tuple[int | None, Callable | None]:
-    """Compile patterns over the values [0, size) into the forbidden-value
+    """Compile patterns for the letters [0, size) into the forbidden-value
     mask of the empty prefix and the update ``extend(valset, w, forb)``,
     which gives the mask after a prefix using the values ``valset``
     appends w.  The start is None when the empty pattern, which occurs in
@@ -77,7 +79,6 @@ def _compile(patterns: Iterable[Pattern], size: int) -> tuple[int | None, Callab
     once every v that stands to w as b to a, and a one-letter pattern
     forbids every letter from the start.
     """
-    full = (1 << size) - 1
     start = 0
     after = [0] * size
     middle: list[list[tuple[int, int, int]]] = [[] for _ in range(size)]
@@ -86,13 +87,13 @@ def _compile(patterns: Iterable[Pattern], size: int) -> tuple[int | None, Callab
         if len(d) == 3:
             a, b, c = d
             for w in range(size):
-                left, right = _stand(a, b, w, full), _stand(c, b, w, full)
+                left, right = _stand(a, b, w), _stand(c, b, w)
                 middle[w].append((left, right, (c > a) - (c < a)))
         elif len(d) == 2:
             for w in range(size):
-                after[w] |= _stand(d[1], d[0], w, full)
+                after[w] |= _stand(d[1], d[0], w)
         elif len(d) == 1:
-            start = full
+            start = -1
         elif not d:
             return None, None
         else:
@@ -126,41 +127,35 @@ def _require_size(what: str, size: int, bound: int | None) -> None:
         raise OracleBoundError(f"{what} exceeds exhaustive-search bound {limit}{hint}")
 
 
-def _sweep(
-    length: int, patterns: Iterable[Pattern], size: int, alphabet: int | None, cover: int
-) -> int:
-    """Count the words of the given length on the values [0, size) in which
-    no pattern occurs.
+def _step(level: dict, letters: int, extend: Callable, cover: int = 0, left: int = 0) -> dict:
+    """The next level: each state of ``level`` extended by each of ``letters``
+    that its ``forb`` allows.
 
-    One level maps each state (valset, forb) of the prefixes of one length
+    A level maps each state (valset, forb) of the prefixes of one length
     to the number of prefixes in that state: the values used, and the
     values that would complete a pattern.  Every pattern acts through
     ``forb`` alone, so which letters may extend a prefix, and to which
-    state, depends on its state alone.  The letters at position pos are
-    the bits of ``alphabet``, or 0..pos when it is None (inversion
-    sequences).  Every letter of ``cover`` must occur: a state missing
-    more of them than there are positions left is dropped.  The last level
-    is never built, only tallied from the one before it: a state adds its
-    allowed letters, or only its one missing letter of ``cover``.
+    state, depends on its state alone.  Every letter of ``cover`` must
+    occur: a state missing more of them than the ``left`` positions still
+    to fill is dropped.
     """
-    start, extend = _compile(patterns, size)
-    if length == 0:
-        return int(start is not None and not cover)
-    level = {} if start is None else {(0, start): 1}
-    for pos in range(length - 1):
-        letters = (1 << (pos + 1)) - 1 if alphabet is None else alphabet
-        nxt: dict[tuple[int, int], int] = {}
-        for (valset, forb), mult in level.items():
-            if cover and (cover & ~valset).bit_count() > length - pos:
-                continue
-            allowed = letters & ~forb
-            while allowed:
-                bit = allowed & -allowed
-                allowed ^= bit
-                state = (valset | bit, extend(valset, bit.bit_length() - 1, forb))
-                nxt[state] = nxt.get(state, 0) + mult
-        level = nxt
-    letters = (1 << length) - 1 if alphabet is None else alphabet
+    nxt: dict[tuple[int, int], int] = {}
+    for (valset, forb), mult in level.items():
+        if cover and (cover & ~valset).bit_count() > left:
+            continue
+        allowed = letters & ~forb
+        while allowed:
+            bit = allowed & -allowed
+            allowed ^= bit
+            state = (valset | bit, extend(valset, bit.bit_length() - 1, forb))
+            nxt[state] = nxt.get(state, 0) + mult
+    return nxt
+
+
+def _tally(level: dict, letters: int, cover: int = 0) -> int:
+    """The number of words one letter longer than the prefixes of ``level``,
+    without building their level: a state adds its allowed letters, or only
+    its one missing letter of ``cover``, and nothing when two are missing."""
     return sum(
         mult * (letters & ~forb & (cover & ~valset or letters)).bit_count()
         for (valset, forb), mult in level.items()
@@ -168,10 +163,34 @@ def _sweep(
     )
 
 
+# The last pattern set's sweep (patterns, compile size, extend, level,
+# I_0..I_k); the level holds the prefixes of length max(k - 1, 0).
+_SWEEP: list = [None] * 5
+
+
 def count_avoiders(n: int, patterns: PatternSet, bound: int | None = None) -> int:
-    """|I_n(S)|, by a level sweep over the states of the avoiding prefixes."""
+    """|I_n(S)|, by a level sweep over the states of the avoiding prefixes.
+
+    The last pattern set's sweep is kept: a call steps its level on to
+    length n - 1 and tallies I_n, and reads a smaller n from the counts.
+    No mask depends on the compile size, so compiling for more letters (at
+    least the default bound's) keeps the level.
+    """
     _require_size(f"n={n}", n, bound)
-    return _sweep(n, patterns, n, None, 0)
+    same, size, extend, level, counts = _SWEEP
+    if same != patterns or n > size:
+        size = max(n, DEFAULT_BOUND)
+        start, extend = _compile(patterns, size)
+        if same != patterns:
+            level = {} if start is None else {(0, start): 1}
+            counts = [int(start is not None)]
+    _SWEEP[:] = [None] * 5  # drop an old level now; a sweep cut short is not resumed
+    for k in range(len(counts), n + 1):
+        if k > 1:
+            level = _step(level, (1 << (k - 1)) - 1, extend)
+        counts.append(_tally(level, (1 << k) - 1))
+    _SWEEP[:] = patterns, size, extend, level, counts
+    return counts[n]
 
 
 def enumerate_avoiders(
@@ -241,4 +260,10 @@ def count_words(constraint: WordConstraint, bound: int | None = None) -> int:
     _require_size(f"k={k}, b={b}", max(k, b), bound)
     alphabet = ((1 << (b + 1)) - 1) & ~1  # letters 1..b
     cover = alphabet if constraint.surjective else 0
-    return _sweep(k, constraint.forbidden, b + 1, alphabet, cover)
+    start, extend = _compile(constraint.forbidden, b + 1)
+    if k == 0:
+        return int(start is not None and not cover)
+    level = {} if start is None else {(0, start): 1}
+    for pos in range(k - 1):
+        level = _step(level, alphabet, extend, cover, k - pos)
+    return _tally(level, alphabet, cover)

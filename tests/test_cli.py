@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from invseq import cli, gentree
+from invseq import cli, gentree, oracle
 from invseq.cli import main
 from invseq.gentree import ClassId
 from invseq.oracle import BOUND_ENV_VAR, DEFAULT_BOUND
@@ -288,7 +288,8 @@ class TestVerifyAll:
 
 def test_traced_benchmark_finds_every_entry_point():
     """The benchmark's tracer wraps invseq's entry points by name; a renamed
-    one makes install() raise, and uninstall() puts every original back."""
+    one makes install() raise, and uninstall() puts every original back.
+    It also counts one oracle span per n, so the oracle keeps that call shape."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
     spec = importlib.util.spec_from_file_location("perfbench_spans", path)
     spans = importlib.util.module_from_spec(spec)
@@ -298,7 +299,10 @@ def test_traced_benchmark_finds_every_entry_point():
     try:
         tracer.install()
         gentree.count_class(ClassId.C214, 5)
+        for n in range(6):
+            oracle.count_avoiders(n, ClassId.C214.patterns)
     finally:
         tracer.uninstall()
     assert gentree.count_class is original
     assert tracer.spans[0][0] == "gentree.count_class"
+    assert [s[0] for s in tracer.spans].count("oracle.count_avoiders") == 6

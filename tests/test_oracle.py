@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import pytest
@@ -80,6 +81,44 @@ class TestCountAvoiders:
         ps = PatternSet.of(*sorted(specs))
         for n in range(6):
             assert count_avoiders(n, ps) == brute_count(n, ps)
+
+
+SHORT_PATTERNS = ALL_PATTERNS + ["00", "01", "10", "0", ""]
+
+
+@functools.cache
+def cached_brute_count(n, patterns):
+    return brute_count(n, patterns)
+
+
+class TestResumedSweep:
+    @settings(max_examples=15, deadline=None)
+    @given(
+        st.lists(
+            st.sets(st.sampled_from(SHORT_PATTERNS), min_size=1, max_size=3),
+            min_size=2,
+            max_size=3,
+        ),
+        st.lists(
+            st.tuples(st.integers(0, 7), st.integers(0, 2), st.none() | st.integers(0, 2)),
+            max_size=8,
+        ),
+    )
+    def test_any_call_order_matches_brute_force(self, sets, calls):
+        # the fixed tail reads a smaller n back, alternates sets, and passes
+        # a bound below a later n and one above the default
+        calls = [(n, which, None if extra is None else n + extra) for n, which, extra in calls]
+        tail = [(3, 0, 3), (5, 0, None), (2, 0, None), (2, 1, None)]
+        tail += [(4, 0, DEFAULT_BOUND + 2), (6, 0, None), (1, 0, None)]
+        sets = [PatternSet.of(*sorted(s)) for s in sets]
+        for n, which, bound in calls + tail:
+            ps = sets[which % len(sets)]
+            assert count_avoiders(n, ps, bound) == cached_brute_count(n, ps), (n, str(ps))
+
+    def test_resumes_past_the_default_bound(self):
+        ps, n_max = PatternSet.of("001"), DEFAULT_BOUND + 3
+        counts = [count_avoiders(n, ps, bound=n_max) for n in range(n_max + 1)]
+        assert counts == [1] + [2 ** (n - 1) for n in range(1, n_max + 1)]
 
 
 class TestBound:
