@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from itertools import zip_longest
 from typing import Iterable, Iterator, Sequence
@@ -39,6 +40,7 @@ from .series import (
     MINIMAL_POLYNOMIAL_DEGREE,
     TruncatedSeries,
     expand_closed_form,
+    horner,
     iterate_catalytic,
     kernel_root,
     verify_minimal_polynomial,
@@ -94,23 +96,22 @@ def cmd_series(args) -> int:
     if args.order < 0:
         raise ValueError("--order must be nonnegative")
     cid = ClassId.parse(args.class_id)
-    order = args.order + 1  # coefficients through z^order
-    reference = count_class(cid, args.order)
     if args.source == "catalytic":
-        if cid not in CATALYTIC_CLASSES:
-            raise ValueError(f"no catalytic system for class {cid.value}")
-        coeffs = iterate_catalytic(cid, order)
+        expand, classes, what = iterate_catalytic, CATALYTIC_CLASSES, "catalytic system"
     else:
-        if cid not in CLOSED_FORM_CLASSES:
-            raise ValueError(f"no closed form for class {cid.value}")
-        coeffs = expand_closed_form(cid, order)
+        expand, classes, what = expand_closed_form, CLOSED_FORM_CLASSES, "closed form"
+    # refuse the class before counting it
+    if cid not in classes:
+        raise ValueError(f"no {what} for class {cid.value}")
+    if args.verify_minpoly and cid not in MINIMAL_POLYNOMIAL_DEGREE:
+        raise ValueError(f"no stored annihilator for class {cid.value}")
+    reference = count_class(cid, args.order)
+    coeffs = expand(cid, args.order + 1)  # coefficients through z^order
     rows = [{"n": n, "coefficient": str(c)} for n, c in enumerate(coeffs)]
     _emit_rows(rows, args.format, ("n", "coefficient"))
     ok = coeffs == reference
     verdicts = [("series matches counts", ok)]
     if args.verify_minpoly:
-        if cid not in MINIMAL_POLYNOMIAL_DEGREE:
-            raise ValueError(f"no stored annihilator for class {cid.value}")
         verdicts.append(
             (
                 f"annihilator degree {MINIMAL_POLYNOMIAL_DEGREE[cid]}",
@@ -267,10 +268,7 @@ def check_kernel_roots(order: int) -> Comparisons:
         x = kernel_root(ks, 1, order)
         if cid is ClassId.C1420:
             yield "class 1420 root prefix", [1, 2, 5, 17, 64], [int(c) for c in x.coeffs[:5]]
-        residual = TruncatedSeries([0], order)
-        for k in reversed(ks):
-            residual = residual * x + k
-        nonzero = sum(1 for c in residual.coeffs if c)
+        nonzero = sum(1 for c in horner(ks, x).coeffs if c)
         yield f"class {cid.value} nonzero residual terms", 0, nonzero
 
 
@@ -411,9 +409,18 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.run(args)
+        status = args.run(args)
+        sys.stdout.flush()  # a reader that left shows here, not at exit
+        return status
     except ValueError as exc:
         parser.exit(2, f"error: {exc}\n")
+    except BrokenPipeError:
+        # the reader of stdout left (``invseq classify | head -1``): stop
+        # quietly, with stdout on devnull so the flush at exit cannot fail
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
 
 
 if __name__ == "__main__":

@@ -14,6 +14,9 @@ stepper ``step_state`` using prefix/suffix-sum aggregation so that
 computing a few hundred terms stays cheap.  The stepper runs on a compact
 state of the rule's own, which need not encode the whole label census: it
 only has to be closed under the step and give the term, ``counted_total``.
+Each layout family states its state's layout once, in ``_layout``; from it
+``project`` reads the fast state off a reference census, and the starting
+state is the projection of the root.
 The steppers of 663A, 1420 and the 1176 family keep one list per tag; 733
 and 1833A keep the row sums and the s = 0 column of their (p, s) grid.
 These take O(levels) big-integer additions per step.  The seven grid rules
@@ -24,15 +27,16 @@ every label one row down (shift down: column s plus column s + 1; fall: a
 running sum across the columns), then the jumps add either along
 anti-diagonals or as Catalan-weighted columns.  830 and 2106 keep ragged
 rows, row h holding k = 0..h, and build each new row from prefix sums and
-the row before it.  ``label_census`` runs the reference expansion.  The
-test-suite checks that every fast state is a projection of the reference
-census, and that both agree with the brute-force oracle.
+the row before it.  ``label_census`` runs the reference expansion through
+``step_census``.  The test-suite checks that every fast state is the
+projection of the reference census, and that both agree with the
+brute-force oracle.
 
 Label conventions: right-grown rules track statistics of the sequence end
 (``a``/``b``/``c``/``d``/``e`` progression for the 1176 family,
 maximum/premaximum ``s``/``t`` for 830, maximum/valid-descents ``p``/``q``
-for 2106); labels that depend on the length carry it redundantly and the
-stepper asserts it equals the tree depth.  Left-grown rules track the
+for 2106); labels that depend on the length carry it redundantly and
+``expand`` checks it against the tree depth.  Left-grown rules track the
 leading runs of zeros (p, s) or the prefix plus remaining commitments
 (p, c).
 """
@@ -139,13 +143,11 @@ class RuleError(RuntimeError):
 
 
 class SuccessionRule:
-    """Base: a root, ``expand`` and ``counted``, plus census stepping on plain
-    ``{Label: count}`` dicts through ``expand``.
-
-    Every concrete rule adds ``initial_state`` and overrides ``step_state``
-    and ``counted_total`` with its own compact state, closed under the step;
-    the dict versions here are the reference the tests compare with and the
-    path ``label_census`` runs.
+    """Base: a root, ``expand`` and ``counted``, and ``step_census``, the
+    reference step on ``{Label: count}`` censuses.  Every rule adds
+    ``step_state`` and ``counted_total`` on its own compact state, and its
+    family the layout of that state, ``_layout(take, depth)``: the state at
+    depth, built by asking ``take(label)`` for every cell's count.
     """
 
     class_id: ClassId
@@ -159,19 +161,27 @@ class SuccessionRule:
     def counted(self, label: Label) -> bool:
         raise NotImplementedError
 
-    # -- reference census stepping on plain dicts, through expand --
-
-    def step_state(self, state, depth: int):
+    def step_census(self, census: dict[Label, int], depth: int) -> dict[Label, int]:
         new: dict[Label, int] = {}
-        for label, cnt in state.items():
+        for label, cnt in census.items():
             for child, mult in self.expand(label, depth):
                 if mult < 1:
                     raise RuleError(f"{self.class_id}: bad multiplicity for {child}")
                 new[child] = new.get(child, 0) + cnt * mult
         return new
 
-    def counted_total(self, state, depth: int) -> int:
-        return sum(cnt for label, cnt in state.items() if self.counted(label))
+    def project(self, census: dict[Label, int], depth: int):
+        """The fast state at depth holding the counts of a census; a label
+        outside the layout is a RuleError."""
+        left = dict(census)
+        state = self._layout(lambda label: left.pop(label, 0), depth)
+        if left:
+            outside = ", ".join(map(str, left))
+            raise RuleError(f"{self.class_id.value}: outside the depth-{depth} layout: {outside}")
+        return state
+
+    def initial_state(self):
+        return self.project({self.root(): 1}, 0)
 
 
 def _require_depth(label: Label, depth: int) -> None:
@@ -241,8 +251,10 @@ class _Rule1176Family(SuccessionRule):
     # of length depth + 1; a step appends one index.  The a and b lists step
     # alike in all three classes, the c, d and e lists in each subclass.
 
-    def initial_state(self):
-        return ([1], [0], [0], [0], [0])
+    def _layout(self, take, depth: int):
+        levels = range(depth + 1)
+        a = [take(Label("a", (depth, h))) for h in levels]
+        return (a, *([take(Label(tag, (k,))) for k in levels] for tag in "bcde"))
 
     @staticmethod
     def _step_ab(a, b, depth: int):
@@ -307,8 +319,11 @@ class _TwoGridRule(SuccessionRule):
     def counted(self, label: Label) -> bool:
         return True
 
-    def initial_state(self):
-        return ([[1]], [[0]])
+    def _layout(self, take, depth: int):
+        return tuple(
+            [[take(Label(tag, (depth, h, k))) for k in range(h + 1)] for h in range(depth + 1)]
+            for tag in self.tags
+        )
 
     def counted_total(self, state, depth: int) -> int:
         return sum(sum(row) for grid in state for row in grid)
@@ -402,6 +417,11 @@ class Rule2106(_TwoGridRule):
 # ---------------------------------------------------------------------------
 
 
+def _triangle(take, depth: int) -> list[list[int]]:
+    """The labels (p, s) with p + s <= depth, column-major: cols[s][p]."""
+    return [[take(Label("", (p, s))) for p in range(depth + 1 - s)] for s in range(depth + 1)]
+
+
 def _suffix_sums(xs: list[int]) -> list[int]:
     """[sum(xs[i:]) for i in range(len(xs))]."""
     return list(accumulate(reversed(xs)))[::-1]
@@ -464,8 +484,8 @@ class _LeftGrownRule(SuccessionRule):
     def root(self) -> Label:
         return Label("", (0, 0))
 
-    def initial_state(self):
-        return [[1]]
+    def _layout(self, take, depth: int):
+        return _triangle(take, depth)
 
     def counted_total(self, state, depth: int) -> int:
         return sum(sum(islice(col, self.counted_rows)) for col in state[: self.counted_cols])
@@ -487,8 +507,9 @@ class _ResetRule(SuccessionRule):
     def root(self) -> Label:
         return Label("", (0, 0))
 
-    def initial_state(self):
-        return ([1], [1])
+    def _layout(self, take, depth: int):
+        cols = _triangle(take, depth)
+        return (list(map(sum, zip_longest(*cols, fillvalue=0))), cols[0])
 
     def step_state(self, state, depth: int):
         # The stays move row p to row p + 1 with sum 2 r[p] - z[p] and s = 0
@@ -683,8 +704,8 @@ class _SingleRunRule(SuccessionRule):
     def root(self) -> Label:
         return Label("a", (0,))
 
-    def initial_state(self):
-        return ([1], [0])
+    def _layout(self, take, depth: int):
+        return tuple([take(Label(tag, (p,))) for p in range(depth + 1)] for tag in "ab")
 
 
 class Rule663A(_SingleRunRule):
@@ -822,5 +843,5 @@ def label_census(class_id: ClassId, n: int) -> dict[Label, int]:
     rule = _RULES[class_id]
     census = {rule.root(): 1}
     for depth in range(n):
-        census = SuccessionRule.step_state(rule, census, depth)
+        census = rule.step_census(census, depth)
     return census

@@ -234,6 +234,14 @@ class TruncatedSeries:
         return not any(self.coeffs)
 
 
+def horner(coeffs: Sequence[TruncatedSeries], x: TruncatedSeries) -> TruncatedSeries:
+    """sum_i coeffs[i] * x^i, evaluated from the leading coefficient down."""
+    acc = coeffs[-1]
+    for c in coeffs[-2::-1]:
+        acc = acc * x + c
+    return acc
+
+
 def polymul(a: Sequence, b: Sequence) -> list:
     """Full (untruncated) product of coefficient lists."""
     out = [0] * (len(a) + len(b) - 1)
@@ -254,13 +262,6 @@ def kernel_root(
     """
     ks = [TruncatedSeries(k.coeffs, order) for k in kernel]
     x = TruncatedSeries([x0], order)
-
-    def horner(cs, v):
-        acc = TruncatedSeries([0], order)
-        for c in reversed(cs):
-            acc = acc * v + c
-        return acc
-
     deriv = [ks[i] * i for i in range(1, len(ks))]
     if not horner(deriv, x).coeffs[0]:
         raise ValueError("not a simple root: derivative vanishes at z=0")
@@ -607,10 +608,6 @@ MINIMAL_POLYNOMIAL_DEGREE = {cid: len(poly) - 1 for cid, poly in MINIMAL_POLYNOM
 
 def verify_minimal_polynomial(class_id: ClassId, coeffs: Sequence) -> bool:
     """Check P(z, F) = 0 mod z^len(coeffs) for the stored annihilator."""
-    poly = MINIMAL_POLYNOMIALS[class_id]
-    order = len(coeffs)
-    f = TruncatedSeries(coeffs, order)
-    acc = TruncatedSeries.from_poly(poly[-1], order)
-    for cs in reversed(poly[:-1]):
-        acc = acc * f + TruncatedSeries.from_poly(cs, order)
-    return acc.is_zero()
+    f = TruncatedSeries(coeffs)
+    ks = [TruncatedSeries.from_poly(cs, f.order) for cs in MINIMAL_POLYNOMIALS[class_id]]
+    return horner(ks, f).is_zero()

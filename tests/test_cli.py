@@ -101,6 +101,16 @@ class TestSeries:
         with pytest.raises(SystemExit):
             main(["series", "--class", "830", "--order", "10"])
 
+    @pytest.mark.parametrize(
+        "argv", ["--class 830", "--class 733 --source catalytic"], ids=["830", "733-catalytic"]
+    )
+    def test_refuses_the_class_before_counting(self, argv, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "count_class", None)  # not to be called
+        with pytest.raises(SystemExit) as exc:
+            main(["series", *argv.split(), "--order", "250"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("error: no ")
+
 
 class TestClassify:
     def test_summary_lines(self, capsys):
@@ -248,6 +258,16 @@ def test_cli_imports_the_standard_library_only():
         check=True,
     )
     assert done.stdout == "False\n"
+
+
+def test_closed_pipe_exits_quietly():
+    """A reader that leaves early, as ``head -1`` does, gets no traceback."""
+    argv = [sys.executable, "-m", "invseq.cli", "count", "--class", "214", "--n", "50"]
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        proc.stdout.close()
+        _, err = proc.communicate()
+    assert err == b"" and proc.returncode != 0
 
 
 class TestVerifyAll:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 
 import pytest
 
@@ -8,7 +9,7 @@ from invseq.core import PatternSet
 from invseq.gentree import (
     ClassId,
     Label,
-    SuccessionRule,
+    RuleError,
     WILF_PARTNER_PATTERNS,
     count_class,
     label_census,
@@ -19,38 +20,6 @@ from invseq.series import MINIMAL_POLYNOMIAL_DEGREE, verify_minimal_polynomial
 from conftest import CENSUS_REFS
 
 ALL_CLASSES = list(ClassId)
-
-
-def fast_state_from_census(cid, census, depth):
-    """The fast state of the class at depth, read off a reference census;
-    every label of the census must land in it."""
-    left = dict(census)
-    levels = range(depth + 1)
-
-    def vec(label_at, last=depth):
-        return [left.pop(label_at(i), 0) for i in range(last + 1)]
-
-    if cid in (ClassId.C1016, ClassId.C1176, ClassId.C1253):
-        state = (
-            vec(lambda h: Label("a", (depth, h))),
-            *(vec(lambda k: Label(tag, (k,))) for tag in "bcde"),
-        )
-    elif cid in (ClassId.C830, ClassId.C2106):
-        # ragged rows: row h holds k = 0..h
-        tags = "st" if cid is ClassId.C830 else "pq"
-        state = tuple(
-            [vec(lambda k: Label(tag, (depth, h, k)), h) for h in levels] for tag in tags
-        )
-    elif cid in (ClassId.C663A, ClassId.C1420):
-        state = tuple(vec(lambda p: Label(tag, (p,))) for tag in "ab")
-    else:
-        # the triangle p + s <= depth, column-major: state[s][p]
-        state = [vec(lambda p: Label("", (p, s)), depth - s) for s in levels]
-        if cid in (ClassId.C733, ClassId.C1833A):
-            rows = [[col[p] for col in state if p < len(col)] for p in levels]
-            state = ([sum(row) for row in rows], state[0])
-    assert not left, (cid, depth, left)
-    return state
 
 
 class TestClassId:
@@ -67,20 +36,18 @@ class TestClassId:
 
 @pytest.mark.parametrize("cid", ALL_CLASSES, ids=lambda c: c.value)
 class TestPerClass:
-    def test_has_its_own_fast_stepper(self, cid):
-        assert type(rule_for(cid)).step_state is not SuccessionRule.step_state
-
     def test_fast_path_matches_generic_expansion(self, cid):
+        # 663A and 1420 have O(depth) labels, so their census is cheap to check deeper
         rule = rule_for(cid)
-        generic = {rule.root(): 1}
+        census = {rule.root(): 1}
         fast = rule.initial_state()
-        for depth in range(26):
-            assert fast == fast_state_from_census(cid, generic, depth), (cid, depth)
+        for depth in range(61 if cid in (ClassId.C663A, ClassId.C1420) else 26):
+            assert fast == rule.project(census, depth), (cid, depth)
             assert rule.counted_total(fast, depth) == sum(
-                c for l, c in generic.items() if rule.counted(l)
+                c for l, c in census.items() if rule.counted(l)
             )
             fast = rule.step_state(fast, depth)
-            generic = SuccessionRule.step_state(rule, generic, depth)
+            census = rule.step_census(census, depth)
 
     def test_matches_oracle(self, cid):
         counts = count_class(cid, 8)
@@ -97,21 +64,6 @@ class TestPerClass:
         b = count_class(cid, 12)
         assert a == b
         assert all(x <= y for x, y in zip(a, a[1:]))
-
-
-@pytest.mark.parametrize("cid", [ClassId.C663A, ClassId.C1420], ids=lambda c: c.value)
-class TestSingleRunDeep:
-    """663A and 1420 were counted by the generic path before their steppers."""
-
-    def test_counted_total_matches_generic_path(self, cid):
-        rule = rule_for(cid)
-        generic = {rule.root(): 1}
-        fast = rule.initial_state()
-        for depth in range(61):
-            expected = SuccessionRule.counted_total(rule, generic, depth)
-            assert rule.counted_total(fast, depth) == expected, depth
-            fast = rule.step_state(fast, depth)
-            generic = SuccessionRule.step_state(rule, generic, depth)
 
 
 @pytest.mark.parametrize(
@@ -167,6 +119,23 @@ class TestRule759Multiplicities:
                 for b in range(ell + 1)
             )
             assert sum(jumps) == expected, p
+
+
+@pytest.mark.parametrize(
+    "cid, label",  # per layout family, a label its depth-2 layout has no cell for
+    [
+        (ClassId.C1176, Label("a", (3, 0))),  # a stored length past the depth
+        (ClassId.C830, Label("t", (1, 1, 0))),  # a stored length short of it
+        (ClassId.C663A, Label("b", (3,))),  # a run past the depth
+        (ClassId.C759, Label("", (1, 2))),  # a cell past the triangle
+        (ClassId.C733, Label("", (3, 0))),  # a cell past the triangle
+    ],
+    ids=["1176", "830", "663A", "759", "733"],
+)
+def test_project_refuses_a_label_outside_the_layout(cid, label):
+    census = {**label_census(cid, 2), label: 1}
+    with pytest.raises(RuleError, match=re.escape(str(label))):
+        rule_for(cid).project(census, 2)
 
 
 class TestErrors:

@@ -17,6 +17,7 @@ from invseq.series import (
     bounded_roots_733,
     expand_closed_form,
     hensel_quadratic_factors,
+    horner,
     iterate_catalytic,
     kernel_root,
     verify_minimal_polynomial,
@@ -167,30 +168,16 @@ class TestMinimalPolynomials:
         assert not verify_minimal_polynomial(ClassId.C663A, bad)
 
 
-def _kernel_residual(polys, x, order):
-    acc = TruncatedSeries([0], order)
-    for k in reversed([TruncatedSeries.from_poly(p, order) for p in polys]):
-        acc = acc * x + k
-    return acc
-
-
 class TestKernelRoots:
     def test_1420_root_prefix(self):
-        x = kernel_root(
-            [TruncatedSeries.from_poly(p, 51) for p in CUBIC_KERNELS[ClassId.C1420]],
-            1,
-            51,
-        )
+        ks = [TruncatedSeries.from_poly(p, 51) for p in CUBIC_KERNELS[ClassId.C1420]]
+        x = kernel_root(ks, 1, 51)
         assert [int(c) for c in x.coeffs[:5]] == [1, 2, 5, 17, 64]
-        assert _kernel_residual(CUBIC_KERNELS[ClassId.C1420], x, 51).is_zero()
+        assert horner(ks, x).is_zero()
 
     def test_663A_root_satisfies_kernel(self):
-        x = kernel_root(
-            [TruncatedSeries.from_poly(p, 51) for p in CUBIC_KERNELS[ClassId.C663A]],
-            1,
-            51,
-        )
-        assert _kernel_residual(CUBIC_KERNELS[ClassId.C663A], x, 51).is_zero()
+        ks = [TruncatedSeries.from_poly(p, 51) for p in CUBIC_KERNELS[ClassId.C663A]]
+        assert horner(ks, kernel_root(ks, 1, 51)).is_zero()
 
 
 class TestQuarticFactorisation:
