@@ -37,11 +37,10 @@ class TestClassId:
 @pytest.mark.parametrize("cid", ALL_CLASSES, ids=lambda c: c.value)
 class TestPerClass:
     def test_fast_path_matches_generic_expansion(self, cid):
-        # 663A and 1420 have O(depth) labels, so their census is cheap to check deeper
         rule = rule_for(cid)
         census = {rule.root(): 1}
         fast = rule.initial_state()
-        for depth in range(61 if cid in (ClassId.C663A, ClassId.C1420) else 26):
+        for depth in range(26):
             assert fast == rule.project(census, depth), (cid, depth)
             assert rule.counted_total(fast, depth) == sum(
                 c for l, c in census.items() if rule.counted(l)
@@ -64,6 +63,22 @@ class TestPerClass:
         b = count_class(cid, 12)
         assert a == b
         assert all(x <= y for x, y in zip(a, a[1:]))
+
+
+@pytest.mark.parametrize("cid", [ClassId.C663A, ClassId.C1420], ids=lambda c: c.value)
+class TestSingleRunDeep:
+    """663A and 1420 have O(depth) labels, so their census is cheap to check deeper."""
+
+    def test_counted_total_matches_generic_path(self, cid):
+        rule = rule_for(cid)
+        census = {rule.root(): 1}
+        fast = rule.initial_state()
+        for depth in range(61):
+            assert fast == rule.project(census, depth), depth
+            expected = sum(c for l, c in census.items() if rule.counted(l))
+            assert rule.counted_total(fast, depth) == expected, depth
+            fast = rule.step_state(fast, depth)
+            census = rule.step_census(census, depth)
 
 
 @pytest.mark.parametrize(
