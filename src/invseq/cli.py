@@ -344,8 +344,15 @@ def _add_format(p: argparse.ArgumentParser, choices=FORMATS, default="table") ->
     p.add_argument("--format", choices=choices, default=default)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports bad arguments as one ``error:`` line and exit status 2, no usage."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="invseq",
         description="Exact enumeration of pattern-avoiding inversion sequences.",
         epilog=f"The {BOUND_ENV_VAR} environment variable sets the default "
@@ -357,7 +364,12 @@ def build_parser() -> argparse.ArgumentParser:
     sel = p.add_mutually_exclusive_group(required=True)
     sel.add_argument("--class", dest="class_id", metavar="ID")
     sel.add_argument("--patterns", nargs="+", metavar="PAT")
-    sel.add_argument("--triple", metavar="R1,R2,R3")
+    sel.add_argument(
+        "--triple",
+        metavar="R1,R2,R3",
+        help='e.g. ">,<=,!="; write a triple that starts with "-" as '
+        '"(-,-,>)" or --triple=-,-,>',
+    )
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--engine", choices=("gentree", "oracle"))
     p.add_argument("--bound", type=int)
@@ -413,7 +425,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         sys.stdout.flush()  # a reader that left shows here, not at exit
         return status
     except ValueError as exc:
-        parser.exit(2, f"error: {exc}\n")
+        parser.error(str(exc))
     except BrokenPipeError:
         # the reader of stdout left (``invseq classify | head -1``): stop
         # quietly, with stdout on devnull so the flush at exit cannot fail

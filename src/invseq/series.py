@@ -10,7 +10,9 @@ Three independent routes to the counting series exist for the algebraic
 classes: the generating-tree census (:mod:`invseq.gentree`), the closed
 forms expanded here (:func:`expand_closed_form`), and order-by-order
 iteration of the catalytic functional equations
-(:func:`iterate_catalytic`).  The test-suite confirms they coincide.  The
+(:func:`iterate_catalytic`), which works on plain integer lists in the
+catalytic variable x and divides by (1 - x) only exactly (:func:`_div_1mx`
+raises on a remainder).  The test-suite confirms they coincide.  The
 square-root forms of 1176, 1253 and 1016 and their annihilators come from
 one table, ``QUADRATIC_FORMS``.
 """
@@ -18,6 +20,7 @@ one table, ``QUADRATIC_FORMS``.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate, zip_longest
 from operator import mul
 from typing import Sequence
 
@@ -204,9 +207,6 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return TruncatedSeries([_div(c, other) for c in self.coeffs], self.order)
         return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        return self._wrap(other) / self
 
     def shift(self, k: int) -> "TruncatedSeries":
         """Multiply by z^k; negative k requires the low coefficients to vanish."""
@@ -417,138 +417,93 @@ def expand_closed_form(class_id: ClassId, order: int) -> list[int]:
 
 # ---------------------------------------------------------------------------
 # Catalytic functional equations, iterated order by order in z.
-# The catalytic variable x lives in plain coefficient lists; each division
-# by (1 - x) must be exact, which the code asserts.
+# Each function is held as its z^n coefficient, a plain list of coefficients
+# in the catalytic variable x, built from the z^(n-1) lists.  Lists are added
+# by _padd and negated by _pneg; every division by (1 - x) goes through
+# _div_1mx, which raises unless it is exact.
 # ---------------------------------------------------------------------------
 
 
 def _div_1mx(p: list[int]) -> list[int]:
     """Divide the polynomial p(x) by (1 - x); p(1) = 0 is required."""
-    out = []
-    run = 0
-    for c in p:
-        run += c
-        out.append(run)
-    if run != 0:
+    out = list(accumulate(p))
+    if out[-1]:
         raise ArithmeticError("polynomial not divisible by (1 - x)")
-    out.pop()
-    return out or [0]
+    return out[:-1] or [0]
 
 
 def _padd(*ps: Sequence[int]) -> list[int]:
-    n = max(len(p) for p in ps)
-    return [sum(p[i] for p in ps if i < len(p)) for i in range(n)]
+    return [sum(cs) for cs in zip_longest(*ps, fillvalue=0)]
 
 
 def _pneg(p: Sequence[int]) -> list[int]:
     return [-c for c in p]
 
 
-def _pscale(p: Sequence[int], k) -> list[int]:
-    return [c * k for c in p]
-
-
-def _xshift(p: Sequence[int]) -> list[int]:
-    return [0, *p]
-
-
-def _const(c) -> list[int]:
-    return [c]
-
-
-def _p1(p: Sequence[int]) -> int:
-    return sum(p)
-
-
 def _iterate_right_family(class_id: ClassId, order: int) -> list[int]:
     """The five-function system shared by classes 1176, 1253 and 1016.
 
     A tracks the non-decreasing part, B/C/D the staged growth through a
-    partial repeat-of-maximum pattern, E the descending tail.  They differ
-    only in how C, D and E evolve.  F_n = A_n(1) + D_n(1) + E_n(1).
+    partial repeat-of-maximum pattern, E the descending tail.  With A(1)
+    for A(z, 1), and A_z, A_x the partial derivatives:
+
+        A = 1 + z/(1-x) [A - x A(zx, 1)]
+        B = zB + z/(1-x) [z A_z - x A_x + x/(1-x) (A(zx, 1) - A)]
+        1176:  C = zB,       D = zD + zC,   E = z/(1-x) [T(1) - T], T = A + D + E
+        1253:  C = zC + zB,  D = 2zD + zC,  E = zE + z/(1-x) [A(1) - A]
+        1016:  C = zB,       D = zD + zC,   E = z/(1-x) [A(1) - A]
+
+    and F_n = A_n(1) + D_n(1) + E_n(1).
     """
-    A = _const(1)
-    B = _const(0)
-    C = _const(0)
-    D = _const(0)
-    E = _const(0)
+    A, B, C, D, E = [1], [0], [0], [0], [0]
     out = [1]
     for n in range(1, order):
-        alpha = _p1(A)
-        # A(z,x) = 1 + z/(1-x) (A - x A(zx, 1))
-        monomial = [0] * n + [alpha]
-        A_new = _div_1mx(_padd(A, _pneg(monomial)))
-        # B = zB + z/(1-x) (z dA/dz - x dA/dx + x/(1-x) (A(zx,1) - A))
-        inner = _div_1mx(
-            _xshift(_padd([0] * (n - 1) + [alpha], _pneg(A)))
-        )
-        dz = _pscale(A, n - 1)
-        dx = _xshift([i * c for i, c in enumerate(A)][1:]) if len(A) > 1 else _const(0)
-        B_new = _padd(B, _div_1mx(_padd(dz, _pneg(dx), inner)))
-        if class_id == ClassId.C1176:
-            C_new = B
-            D_new = _padd(D, C)
-            E_new = _div_1mx(
-                _padd(
-                    _const(_p1(E) + alpha + _p1(D)),
-                    _pneg(E),
-                    _pneg(A),
-                    _pneg(D),
-                )
-            )
-        elif class_id == ClassId.C1253:
-            C_new = _padd(C, B)
-            D_new = _padd(_pscale(D, 2), C)
-            E_new = _padd(E, _div_1mx(_padd(_const(alpha), _pneg(A))))
-        else:  # 1016
-            C_new = B
-            D_new = _padd(D, C)
-            E_new = _div_1mx(_padd(_const(alpha), _pneg(A)))
-        A, B, C, D, E = A_new, B_new, C_new, D_new, E_new
-        out.append(_p1(A) + _p1(D) + _p1(E))
+        alpha = sum(A)
+        A_new = _div_1mx(_padd(A, [0] * n + [-alpha]))
+        # [z^(n-1)] of z A_z - x A_x is (n - 1 - i) A_i at x^i
+        slope = [(n - 1 - i) * a for i, a in enumerate(A)]
+        inner = _div_1mx([0, *_padd([0] * (n - 1) + [alpha], _pneg(A))])
+        B_new = _padd(B, _div_1mx(_padd(slope, inner)))
+        T = _padd(A, D, E) if class_id == ClassId.C1176 else A
+        tail = _div_1mx(_padd([sum(T)], _pneg(T)))
+        if class_id == ClassId.C1253:
+            C, D, E = _padd(C, B), _padd([2 * d for d in D], C), _padd(E, tail)
+        else:  # 1176, 1016
+            C, D, E = B, _padd(D, C), tail
+        A, B = A_new, B_new
+        out.append(sum(A) + sum(D) + sum(E))
     return out
 
 
 def _iterate_left_pair(class_id: ClassId, order: int) -> list[int]:
     """The two-function systems for classes 663A and 1420.
 
-    A(x) and B(x) track the leading-zero count x; for 663A only A(1)
-    counts, for 1420 the total is A(1) + B(1).
+    A(x) and B(x) track the leading-zero count x:
+
+        663A:  A = 1 + zx/(1-x) [A(1) - x A] + zx B
+               B = z + z/(1-x) [x A(1) - A] + zx B
+        1420:  A = 1 + zx/(1-x) [A(1) - x A] + zx/(1-x) [B(1) - x B]
+               B = z + z/(1-x) [x A(1) - A] + z/(1-x) [x B(1) - B] + zx B
+
+    The A- and B-driven terms of 1420 have one form, so both systems are
+    A = 1 + zx/(1-x) [S(1) - x S] and B = z + z/(1-x) [x S(1) - S] + zx B,
+    with S = A for 663A (whose A also gains zx B) and S = A + B for 1420.
+    F_n = S_n(1).
     """
-    A = _const(1)
-    B = _const(0)
+    single = class_id == ClassId.C663A
+    A, B = [1], [0]
     out = [1]
     for n in range(1, order):
-        alpha, beta = _p1(A), _p1(B)
-        if class_id == ClassId.C663A:
-            # A = 1 + zx/(1-x) [A(1) - x A] + zx B
-            # B = z/(1-x) [x A(1) - A] + z + zx B
-            A_new = _padd(
-                _div_1mx(_xshift(_padd(_const(alpha), _pneg(_xshift(A))))),
-                _xshift(B),
-            )
-            B_new = _padd(
-                _div_1mx(_padd(_xshift(_const(alpha)), _pneg(A))),
-                _const(1 if n == 1 else 0),
-                _xshift(B),
-            )
-            A, B = A_new, B_new
-            out.append(_p1(A))
-        else:  # 1420
-            # A = 1 + zx/(1-x) [A(1) - x A] + zx/(1-x) [B(1) - x B]
-            # B = z/(1-x) [x A(1) - A] + z + z/(1-x) [x B(1) - B] + zx B
-            A_new = _padd(
-                _div_1mx(_xshift(_padd(_const(alpha), _pneg(_xshift(A))))),
-                _div_1mx(_xshift(_padd(_const(beta), _pneg(_xshift(B))))),
-            )
-            B_new = _padd(
-                _div_1mx(_padd(_xshift(_const(alpha)), _pneg(A))),
-                _const(1 if n == 1 else 0),
-                _div_1mx(_padd(_xshift(_const(beta)), _pneg(B))),
-                _xshift(B),
-            )
-            A, B = A_new, B_new
-            out.append(_p1(A) + _p1(B))
+        S = A if single else _padd(A, B)
+        sigma = sum(S)
+        A_new = _div_1mx([0, sigma, *_pneg(S)])
+        B_new = _padd(
+            _div_1mx(_padd([0, sigma], _pneg(S))), [1 if n == 1 else 0], [0, *B]
+        )
+        if single:
+            A_new = _padd(A_new, [0, *B])
+        A, B = A_new, B_new
+        out.append(sum(A) if single else sum(A) + sum(B))
     return out
 
 
@@ -582,7 +537,7 @@ def _derived_quadratic(p, q, d, R):
     """Annihilator of F = (p + q sqrt(R)) / d: d^2 F^2 - 2 p d F + (p^2 - q^2 R)."""
     return [
         _padd(polymul(p, p), _pneg(polymul(polymul(q, q), R))),
-        _pscale(polymul(p, d), -2),
+        [-2 * c for c in polymul(p, d)],
         polymul(d, d),
     ]
 

@@ -46,6 +46,13 @@ class TestCount:
         assert code == 0
         assert lines[-1] == "6 299"
 
+    def test_triple_starting_with_a_dash(self, capsys):
+        # "-,-,>" alone would be read as an option; the brackets keep it a value
+        code, lines = run(capsys, "count", "--triple", "(-,-,>)", "--n", "6")
+        assert code == 0
+        assert lines[-1] == "6 332"
+        assert run(capsys, "count", "--class", "1420", "--n", "6")[1] == lines
+
     def test_n_zero(self, capsys):
         code, lines = run(capsys, "count", "--class", "1016", "--n", "0")
         assert code == 0
@@ -195,6 +202,9 @@ class TestWords:
         ("asymptotics --class 1420 --terms 60 --points 1", {}),
         ("classify --max-n 3 --bound -1", {}),
         ("count --patterns 001 --n 3", {BOUND_ENV_VAR: "-1"}),
+        ("count --class 214", {}),
+        ("count --class 214 --n 3 --format xml", {}),
+        ("count --n x", {}),
     ],
 )
 def test_bad_input_exits_2_with_one_error_line(command, env, capsys, monkeypatch):

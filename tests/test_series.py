@@ -14,6 +14,7 @@ from invseq.series import (
     QUARTIC_KERNELS,
     SQRT5,
     TruncatedSeries,
+    _div_1mx,
     bounded_roots_733,
     expand_closed_form,
     hensel_quadratic_factors,
@@ -141,6 +142,13 @@ class TestCatalytic:
                 assert len(coeffs) == order == len(expand_closed_form(cid, order))
         with pytest.raises(ValueError):
             iterate_catalytic(ClassId.C1176, -2)
+
+    def test_division_by_one_minus_x_is_exact(self):
+        assert _div_1mx([1, -1]) == [1]
+        assert _div_1mx([3, -1, -2]) == [3, 2]  # (3 + 2x)(1 - x)
+        for p in ([1], [1, 1]):  # p(1) != 0 leaves a remainder
+            with pytest.raises(ArithmeticError):
+                _div_1mx(p)
 
 
 class TestMinimalPolynomials:
