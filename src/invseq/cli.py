@@ -14,7 +14,7 @@ import json
 import os
 import sys
 from itertools import zip_longest
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import combinat
 from .analysis import (
@@ -49,21 +49,10 @@ from .series import (
 FORMATS = ("table", "json-lines", "b-file")
 
 
-def _emit_rows(rows: Iterable[dict], fmt: str, keys: Sequence[str]) -> None:
-    """Print rows in the requested format.
-
-    b-file uses the first two keys as index and value; the table format
-    prints space-separated values in key order.
-    """
-    if fmt == "json-lines":
-        for r in rows:
-            print(json.dumps(r, sort_keys=True))
-    elif fmt == "b-file":
-        for r in rows:
-            print(f"{r[keys[0]]} {r[keys[1]]}")
-    else:
-        for r in rows:
-            print(" ".join(str(r[k]) for k in keys))
+def _emit_rows(rows: Iterable[dict], fmt: str, text: Callable[[dict], str]) -> None:
+    """Print each row: one JSON object for json-lines, else ``text(row)``."""
+    for row in rows:
+        print(json.dumps(row, sort_keys=True) if fmt == "json-lines" else text(row))
 
 
 def _patterns_for(args) -> PatternSet:
@@ -88,7 +77,7 @@ def cmd_count(args) -> int:
         patterns = _patterns_for(args)
         counts = [count_avoiders(n, patterns, args.bound) for n in range(args.n + 1)]
     rows = [{"n": n, "count": c} for n, c in enumerate(counts)]
-    _emit_rows(rows, args.format, ("n", "count"))
+    _emit_rows(rows, args.format, "{n} {count}".format_map)
     return 0
 
 
@@ -96,36 +85,21 @@ def cmd_series(args) -> int:
     if args.order < 0:
         raise ValueError("--order must be nonnegative")
     cid = ClassId.parse(args.class_id)
-    if args.source == "catalytic":
-        expand, classes, what = iterate_catalytic, CATALYTIC_CLASSES, "catalytic system"
-    else:
-        expand, classes, what = expand_closed_form, CLOSED_FORM_CLASSES, "closed form"
-    # refuse the class before counting it
-    if cid not in classes:
-        raise ValueError(f"no {what} for class {cid.value}")
-    if args.verify_minpoly and cid not in MINIMAL_POLYNOMIAL_DEGREE:
-        raise ValueError(f"no stored annihilator for class {cid.value}")
-    reference = count_class(cid, args.order)
+    expand = iterate_catalytic if args.source == "catalytic" else expand_closed_form
+    # expand refuses a class it has no series for, before anything is counted
     coeffs = expand(cid, args.order + 1)  # coefficients through z^order
+    reference = count_class(cid, args.order)
     rows = [{"n": n, "coefficient": str(c)} for n, c in enumerate(coeffs)]
-    _emit_rows(rows, args.format, ("n", "coefficient"))
-    ok = coeffs == reference
-    verdicts = [("series matches counts", ok)]
+    _emit_rows(rows, args.format, "{n} {coefficient}".format_map)
+    verdicts = [{"check": "series matches counts", "ok": coeffs == reference}]
     if args.verify_minpoly:
-        verdicts.append(
-            (
-                f"annihilator degree {MINIMAL_POLYNOMIAL_DEGREE[cid]}",
-                verify_minimal_polynomial(cid, reference),
-            )
-        )
-    failed = False
-    for name, good in verdicts:
-        failed |= not good
-        if args.format == "json-lines":
-            print(json.dumps({"check": name, "ok": good}, sort_keys=True))
-        else:
-            print(f"verdict {'OK' if good else 'FAIL'}: {name}")
-    return 1 if failed else 0
+        degree = MINIMAL_POLYNOMIAL_DEGREE[cid]
+        ok = verify_minimal_polynomial(cid, reference)
+        verdicts.append({"check": f"annihilator degree {degree}", "ok": ok})
+    _emit_rows(
+        verdicts, args.format, lambda v: f"verdict {'OK' if v['ok'] else 'FAIL'}: {v['check']}"
+    )
+    return 0 if all(v["ok"] for v in verdicts) else 1
 
 
 def cmd_classify(args) -> int:
@@ -138,25 +112,19 @@ def cmd_classify(args) -> int:
         }
         for ps in sorted(tc.pattern_classes, key=str)
     ]
-    if args.format == "json-lines":
-        for r in rows:
-            print(json.dumps(r, sort_keys=True))
-        print(
-            json.dumps(
-                {
-                    "triples": tc.n_triples,
-                    "equivalence_classes": tc.n_pattern_classes,
-                    "wilf_classes": tc.n_wilf_classes,
-                },
-                sort_keys=True,
-            )
-        )
-    else:
-        for r in rows:
-            print(f"{r['representative']} triples={r['n_triples']} counts={r['counts']}")
-        print(f"total triples {tc.n_triples}")
-        print(f"equivalence classes {tc.n_pattern_classes}")
-        print(f"wilf classes {tc.n_wilf_classes}")
+    summary = {
+        "triples": tc.n_triples,
+        "equivalence_classes": tc.n_pattern_classes,
+        "wilf_classes": tc.n_wilf_classes,
+    }
+    row_text = "{representative} triples={n_triples} counts={counts}"
+    summary_text = (
+        "total triples {triples}\n"
+        "equivalence classes {equivalence_classes}\n"
+        "wilf classes {wilf_classes}"
+    )
+    _emit_rows(rows, args.format, row_text.format_map)
+    _emit_rows([summary], args.format, summary_text.format_map)
     return 0
 
 
@@ -190,11 +158,7 @@ def cmd_asymptotics(args) -> int:
             "reference_mu": info.mu,
             "relative_error": abs(est.mu - info.mu) / info.mu,
         }
-    if args.format == "json-lines":
-        print(json.dumps(row, sort_keys=True))
-    else:
-        for k, v in row.items():
-            print(f"{k} {v}")
+    _emit_rows([row], args.format, lambda r: "\n".join(f"{k} {v}" for k, v in r.items()))
     return 0
 
 
@@ -217,12 +181,8 @@ def cmd_words(args) -> int:
         "enumerated": actual,
         "ok": expected == actual,
     }
-    if args.format == "json-lines":
-        print(json.dumps(row, sort_keys=True))
-    else:
-        print(f"formula {expected}")
-        print(f"enumerated {actual}")
-        print(f"verdict {'OK' if row['ok'] else 'FAIL'}")
+    text = f"formula {expected}\nenumerated {actual}\nverdict {'OK' if row['ok'] else 'FAIL'}"
+    _emit_rows([row], args.format, lambda _: text)
     return 0 if row["ok"] else 1
 
 

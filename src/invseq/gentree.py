@@ -518,7 +518,7 @@ class _ResetRule(SuccessionRule):
         # sum_{j >= p} v[j] to the row.
         r, z = state
         v = _suffix_sums(state[self.counted_vector])
-        row_jumps = _suffix_sums(v)[1:] + [0]
+        row_jumps = _strict_suffix_sums(v)
         new_r = [0] + [2 * x - y + w for x, y, w in zip(r, z, row_jumps)]
         new_z = [0, *map(add, r, v[1:] + [0])]
         return (new_r, new_z)
@@ -731,16 +731,8 @@ class Rule663A(_SingleRunRule):
         # new_a[k] = sum_{p >= k-1} a[p] + b[k-1]
         # new_b[l] = sum_{p > l} a[p] + b[l-1]
         a, b = state
-        new_a = [0] * (depth + 2)
-        new_b = [0] * (depth + 2)
-        new_b[depth + 1] = b[depth]
-        suf = 0  # sum_{q > p} a[q]
-        for p in range(depth, -1, -1):
-            if p:
-                new_b[p] = suf + b[p - 1]
-            suf += a[p]
-            new_a[p + 1] = suf + b[p]
-        return (new_a, new_b)
+        suf = _suffix_sums(a)
+        return ([0, *map(add, suf, b)], [0, *map(add, suf[2:] + [0, 0], b)])
 
     def counted_total(self, state, depth: int) -> int:
         return sum(state[0])
@@ -773,16 +765,8 @@ class Rule1420(_SingleRunRule):
         # new_a[k] = sum_{p >= k-1} (a + b)[p]
         # new_b[l] = sum_{p > l} (a + b)[p] + b[l-1]
         a, b = state
-        new_a = [0] * (depth + 2)
-        new_b = [0] * (depth + 2)
-        new_b[depth + 1] = b[depth]
-        suf = 0  # sum_{q > p} (a + b)[q]
-        for p in range(depth, -1, -1):
-            if p:
-                new_b[p] = suf + b[p - 1]
-            suf += a[p] + b[p]
-            new_a[p + 1] = suf
-        return (new_a, new_b)
+        suf = _suffix_sums(list(map(add, a, b)))
+        return ([0, *suf], [0, *map(add, suf[2:] + [0, 0], b)])
 
     def counted_total(self, state, depth: int) -> int:
         return sum(state[0]) + sum(state[1])

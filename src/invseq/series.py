@@ -384,6 +384,8 @@ def expand_closed_form(class_id: ClassId, order: int) -> list[int]:
     is an integer lead times a monic integer polynomial, and the lead is
     divided out last from coefficients that are multiples of it.
     """
+    if order < 0:
+        raise ValueError(f"order must be nonnegative, got {order}")
     n = order + 2  # headroom for the valuation shifts
     P = lambda *cs: TruncatedSeries.from_poly(cs, n)
     if class_id in QUADRATIC_FORMS:

@@ -78,6 +78,10 @@ class TestCount:
         _, second = run(capsys, "count", "--class", "214", "--n", "10")
         assert first == second
 
+    def test_table_equals_b_file(self, capsys):
+        argv = ("count", "--patterns", "001", "--n", "6", "--format")
+        assert run(capsys, *argv, "table") == run(capsys, *argv, "b-file")
+
 
 class TestSeries:
     def test_verdict_ok(self, capsys):
@@ -85,6 +89,22 @@ class TestSeries:
         assert code == 0
         assert lines[-1] == "verdict OK: series matches counts"
         assert lines[-2] == "8 2552"
+
+    def test_verdict_fail(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "count_class", lambda cid, n: [0] * (n + 1))
+        code, lines = run(capsys, "series", "--class", "663A", "--order", "8")
+        assert code == 1
+        assert lines[-1] == "verdict FAIL: series matches counts"
+
+    def test_table_equals_b_file(self, capsys):
+        argv = ("series", "--class", "1016", "--order", "9", "--verify-minpoly", "--format")
+        code, lines = run(capsys, *argv, "table")
+        assert code == 0
+        assert (code, lines) == run(capsys, *argv, "b-file")
+        assert lines[-2:] == [
+            "verdict OK: series matches counts",
+            "verdict OK: annihilator degree 2",
+        ]
 
     def test_verify_minpoly(self, capsys):
         code, lines = run(
@@ -159,6 +179,14 @@ class TestAsymptotics:
         assert row["sigma"] == 0.375
         assert row["base"] == 9.0
 
+    def test_table_shows_each_field_in_order(self, capsys):
+        argv = ("asymptotics", "--class", "1420", "--terms", "120", "--format")
+        code, lines = run(capsys, *argv, "table")
+        assert code == 0
+        row = json.loads(run(capsys, *argv, "json-lines")[1][0])
+        keys = ["class", "model", "mu", "exponent", "reference_mu", "relative_error"]
+        assert lines == [f"{k} {row[k]}" for k in keys]
+
 
 class TestWords:
     def test_r1r2(self, capsys):
@@ -176,6 +204,12 @@ class TestWords:
         code, lines = run(capsys, "words", "--k", "5", "--b", "2", "--rules", "R1R3")
         assert code == 0
         assert "formula 0" in lines
+
+    def test_verdict_fail(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "count_words", lambda constraint, bound: 139)
+        code, lines = run(capsys, "words", "--k", "6", "--b", "4", "--rules", "R1R2")
+        assert code == 1
+        assert lines == ["formula 140", "enumerated 139", "verdict FAIL"]
 
 
 @pytest.mark.parametrize(

@@ -142,6 +142,9 @@ class TestCatalytic:
                 assert len(coeffs) == order == len(expand_closed_form(cid, order))
         with pytest.raises(ValueError):
             iterate_catalytic(ClassId.C1176, -2)
+        for cid in CLOSED_FORM_CLASSES:  # refused, never an empty series
+            with pytest.raises(ValueError, match="order must be nonnegative, got -1"):
+                expand_closed_form(cid, -1)
 
     def test_division_by_one_minus_x_is_exact(self):
         assert _div_1mx([1, -1]) == [1]
@@ -193,10 +196,11 @@ class TestQuarticFactorisation:
     def test_symmetric_functions_solve_quadratic(self, cid):
         order = 30
         e1, e2 = hensel_quadratic_factors(*QUARTIC_KERNELS[cid], order)
-        # each bounded root x satisfies x^2 - e1 x + e2 = 0; check via the
-        # full quartic: (z^2 x^2 + a x + b)(x^2 - e1 x + e2) recovers it,
-        # which hensel_quadratic_factors asserts internally -- here we check
-        # the symmetric functions against the individually lifted roots.
+        # each bounded root x satisfies x^2 - e1 x + e2 = 0, and
+        # hensel_quadratic_factors asserts internally that
+        # (z^2 x^2 + a x + b)(x^2 - e1 x + e2) recovers the quartic; here we
+        # check only that both roots start at 1.  The lifted roots themselves
+        # are compared with e1, e2 in test_733_roots_in_sqrt5_extension.
         assert e1.coeffs[0] == 2
         assert e2.coeffs[0] == 1
 
