@@ -237,7 +237,7 @@ def check_words(k_max: int) -> Comparisons:
         for b in range(1, k + 1):
             for rules, (forbidden, formula) in WORD_RULESETS.items():
                 constraint = WordConstraint.of(k, b, forbidden, surjective=True)
-                yield f"{rules} k={k} b={b}", formula(k, b), count_words(constraint, k)
+                yield f"{rules} k={k} b={b}", formula(k, b), count_words(constraint)
     for ell in range(IDENTITY_MAX_ELL + 1):
         for b in range(ell + 1):
             m = sum(combinat.words_R1R2(k, b) for k in range(b, ell + 1))
@@ -275,15 +275,18 @@ def _first_failure(results: Comparisons) -> str | None:
 
 def cmd_verify_all(args) -> int:
     limit = oracle_bound()
-    if not 0 <= args.n <= limit:
+    if limit < CLASSIFY_DEPTH:
         raise ValueError(
-            f"--n must be between 0 and the exhaustive-search bound {limit}"
-            f" ({BOUND_ENV_VAR} raises the bound)"
+            f"{BOUND_ENV_VAR}={limit} is below the classification depth {CLASSIFY_DEPTH}"
         )
+    for flag, value, low in (("--n", args.n, 0), ("--max-k", args.max_k, 1)):
+        if not low <= value <= limit:
+            raise ValueError(
+                f"{flag} must be between {low} and the exhaustive-search bound {limit}"
+                f" ({BOUND_ENV_VAR} raises the bound)"
+            )
     if args.order < 5:
         raise ValueError("--order must be at least 5")
-    if args.max_k < 1:
-        raise ValueError("--max-k must be at least 1")
     checks = [
         ("succession rules vs oracle", check_rules_vs_oracle(args.n)),
         ("closed forms vs counts", check_series_agreement(args.order)),

@@ -2,9 +2,10 @@
 
 Everything here is exact arithmetic: series coefficients are Python
 ``int`` wherever they are integral, ``fractions.Fraction`` only where a
-division is inexact (see :func:`_div`), and quadratic-field numbers where
-needed (see :class:`QSqrt5`), so agreement between two computations is
-literal equality of rationals, not a floating-point tolerance.
+division is inexact (see :func:`_div`), and numbers a + b sqrt(5)
+(:class:`QSqrt5`) only in the finished roots of :func:`bounded_roots_733`,
+so agreement between two computations is literal equality, not a
+floating-point tolerance.
 
 Three independent routes to the counting series exist for the algebraic
 classes: the generating-tree census (:mod:`invseq.gentree`), the closed
@@ -28,7 +29,11 @@ from .gentree import ClassId
 
 
 class QSqrt5:
-    """A number a + b*sqrt(5) with rational a, b kept as given; a field, so division works."""
+    """A number a + b*sqrt(5) with rational a, b kept as given.
+
+    Only the ring operations the bounded roots of 733 meet: sums and
+    products of roots, compared with rational series.
+    """
 
     __slots__ = ("a", "b")
 
@@ -52,21 +57,6 @@ class QSqrt5:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return QSqrt5(self.a - o.a, self.b - o.b)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return QSqrt5(o.a - self.a, o.b - self.b)
-
-    def __neg__(self):
-        return QSqrt5(-self.a, -self.b)
-
     def __mul__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
@@ -75,47 +65,17 @@ class QSqrt5:
 
     __rmul__ = __mul__
 
-    def inverse(self) -> "QSqrt5":
-        norm = self.a * self.a - 5 * self.b * self.b
-        if norm == 0:
-            raise ZeroDivisionError("zero element of Q(sqrt 5)")
-        return QSqrt5(_div(self.a, norm), _div(-self.b, norm))
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o * self.inverse()
-
     def __eq__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
         return self.a == o.a and self.b == o.b
 
-    def __hash__(self):
-        return hash((self.a, self.b))
-
     def __bool__(self):
         return bool(self.a) or bool(self.b)
 
-    def conjugate(self) -> "QSqrt5":
-        return QSqrt5(self.a, -self.b)
-
-    def __float__(self):
-        return float(self.a) + float(self.b) * 5 ** 0.5
-
     def __repr__(self):
         return f"QSqrt5({self.a}, {self.b})"
-
-
-SQRT5 = QSqrt5(0, 1)
 
 
 def _div(x, d):
@@ -137,8 +97,7 @@ class TruncatedSeries:
             order = len(cs)
         if order < 1:
             raise ValueError("order must be at least 1")
-        zero = cs[0] * 0 if cs else 0
-        cs = cs[:order] + [zero] * (order - len(cs))
+        cs = cs[:order] + [0] * (order - len(cs))
         self.coeffs = cs
         self.order = order
 
@@ -146,10 +105,6 @@ class TruncatedSeries:
     def from_poly(cls, coeffs: Sequence, order: int) -> "TruncatedSeries":
         """A polynomial in z, viewed as a series to the given order."""
         return cls(coeffs, order)
-
-    @property
-    def zero_coeff(self):
-        return self.coeffs[0] * 0
 
     def __eq__(self, other):
         return (
@@ -210,24 +165,20 @@ class TruncatedSeries:
 
     def shift(self, k: int) -> "TruncatedSeries":
         """Multiply by z^k; negative k requires the low coefficients to vanish."""
-        zero = self.zero_coeff
         if k >= 0:
-            return TruncatedSeries([zero] * k + self.coeffs, self.order + k)
+            return TruncatedSeries([0] * k + self.coeffs, self.order + k)
         if any(self.coeffs[i] for i in range(-k)):
             raise ValueError(f"cannot shift by {k}: low-order coefficients nonzero")
         return TruncatedSeries(self.coeffs[-k:], self.order + k)
 
-    def sqrt(self, const_root=None) -> "TruncatedSeries":
-        """The square root with constant term const_root (default 1)."""
-        if const_root is None:
-            const_root = 1
-        if const_root * const_root != self.coeffs[0]:
-            raise ValueError("const_root squared must equal the constant term")
-        out = [const_root]
-        twice = const_root + const_root
+    def sqrt(self) -> "TruncatedSeries":
+        """The square root with constant term 1, of a series with constant term 1."""
+        if self.coeffs[0] != 1:
+            raise ValueError("sqrt needs constant term 1")
+        out = [1]
         for n in range(1, self.order):
             acc = sum(map(mul, out[1:n], out[n - 1 : 0 : -1]))
-            out.append(_div(self.coeffs[n] - acc, twice))
+            out.append(_div(self.coeffs[n] - acc, 2))
         return TruncatedSeries(out, self.order)
 
     def is_zero(self) -> bool:
@@ -347,22 +298,20 @@ CUBIC_KERNELS = {
 def bounded_roots_733(order: int) -> tuple[TruncatedSeries, TruncatedSeries]:
     """The two bounded kernel roots individually, over Q(sqrt 5).
 
-    The discriminant of the lifted quadratic factor has valuation 2 with
-    leading coefficient 5, so each root is a power series once sqrt(5) is
-    adjoined.  This is an independent route to the same symmetric
-    functions as :func:`hensel_quadratic_factors`.
+    The roots of x^2 - e1 x + e2 are (e1 +- z sqrt(u)) / 2, where the
+    discriminant e1^2 - 4 e2 = z^2 u has u(0) = 5.  So sqrt(u) = sqrt(5) s
+    with s = sqrt(u / 5) a rational series, and sqrt(5) is adjoined only
+    to the finished coefficients.  This is an independent route to the
+    same symmetric functions as :func:`hensel_quadratic_factors`.
     """
     e1, e2 = hensel_quadratic_factors(*QUARTIC_KERNELS[ClassId.C733], order + 2)
-    disc = e1 * e1 - 4 * e2
-    u = disc.shift(-2)
+    u = (e1 * e1 - 4 * e2).shift(-2)
     if u.coeffs[0] != 5:
         raise RuntimeError("discriminant/z^2 should have constant term 5")
-    u5 = TruncatedSeries([QSqrt5(cf) for cf in u.coeffs], u.order)
-    root = u5.sqrt(SQRT5)
-    half = Fraction(1, 2)
-    e1_5 = TruncatedSeries([QSqrt5(cf) for cf in e1.coeffs], order)
-    x1 = (e1_5 + root.shift(1)) * half
-    x3 = (e1_5 - root.shift(1)) * half
+    zs = [0, *(u / 5).sqrt().coeffs]  # z s: the sqrt(5) part of z sqrt(u)
+    halves = [(Fraction(e, 2), Fraction(r, 2)) for e, r in zip(e1.coeffs[:order], zs)]
+    x1 = TruncatedSeries([QSqrt5(a, b) for a, b in halves], order)
+    x3 = TruncatedSeries([QSqrt5(a, -b) for a, b in halves], order)
     return x1, x3
 
 

@@ -239,6 +239,8 @@ class TestWords:
         ("count --class 214", {}),
         ("count --class 214 --n 3 --format xml", {}),
         ("count --n x", {}),
+        (f"verify-all --max-k {OVER}", {}),
+        ("verify-all --n 9", {BOUND_ENV_VAR: "9"}),
     ],
 )
 def test_bad_input_exits_2_with_one_error_line(command, env, capsys, monkeypatch):

@@ -8,17 +8,14 @@ from invseq.series import (
     CATALYTIC_CLASSES,
     CLOSED_FORM_CLASSES,
     CUBIC_KERNELS,
-    MINIMAL_POLYNOMIAL_DEGREE,
     MINIMAL_POLYNOMIALS,
     QSqrt5,
     QUARTIC_KERNELS,
-    SQRT5,
     TruncatedSeries,
     _div_1mx,
     bounded_roots_733,
     expand_closed_form,
     hensel_quadratic_factors,
-    horner,
     iterate_catalytic,
     kernel_root,
     verify_minimal_polynomial,
@@ -27,22 +24,28 @@ from conftest import PUBLISHED_PREFIXES
 
 
 class TestQSqrt5:
-    def test_field_axioms_on_samples(self):
-        x = QSqrt5(Fraction(1, 2), Fraction(-3, 4))
-        y = QSqrt5(2, 1)
-        assert (x + y) - y == x
-        assert (x * y) / y == x
-        assert x * x.conjugate() == QSqrt5(
-            Fraction(1, 4) - 5 * Fraction(9, 16)
-        )
-        assert 1 / y == y.inverse()
+    x = QSqrt5(Fraction(1, 2), Fraction(-3, 4))
+
+    def test_add(self):
+        assert self.x + QSqrt5(2, 1) == QSqrt5(Fraction(5, 2), Fraction(1, 4))
+        assert 1 + self.x == self.x + 1 == QSqrt5(Fraction(3, 2), Fraction(-3, 4))
+        assert Fraction(1, 2) + self.x == QSqrt5(1, Fraction(-3, 4))
+
+    def test_mul(self):
+        # (1/2 - 3/4 r)(2 + r) = 1 - 15/4 + (1/2 - 3/2) r, with r^2 = 5
+        assert self.x * QSqrt5(2, 1) == QSqrt5(Fraction(-11, 4), -1)
+        assert 2 * self.x == self.x * 2 == QSqrt5(1, Fraction(-3, 2))
+        assert Fraction(2, 3) * self.x == QSqrt5(Fraction(1, 3), Fraction(-1, 2))
+
+    def test_eq_and_truth(self):
+        assert QSqrt5(3) == 3 and QSqrt5(Fraction(1, 2)) == Fraction(1, 2)
+        assert QSqrt5(3, 1) != 3 and self.x != QSqrt5(Fraction(1, 2))
+        assert not QSqrt5(0, 0) and QSqrt5(0, 1)
 
     def test_sqrt5_squares_to_five(self):
-        assert SQRT5 * SQRT5 == QSqrt5(5)
-        assert type((SQRT5 * SQRT5).a) is int
-
-    def test_float(self):
-        assert abs(float(SQRT5) - 5 ** 0.5) < 1e-12
+        sqrt5 = QSqrt5(0, 1)
+        assert sqrt5 * sqrt5 == QSqrt5(5)
+        assert type((sqrt5 * sqrt5).a) is int
 
 
 def _all_ints(coeffs):
@@ -64,6 +67,10 @@ class TestTruncatedSeries:
         sq = TruncatedSeries.from_poly([1, 2, 1], 10).sqrt()
         assert sq.coeffs[:3] == [Fraction(1), Fraction(1), Fraction(0)]
 
+    def test_sqrt_needs_constant_term_one(self):
+        with pytest.raises(ValueError):
+            TruncatedSeries([4, 1], 5).sqrt()
+
     def test_mul_truncates(self):
         a = TruncatedSeries.from_poly([1, 1], 4)
         b = a * a
@@ -73,7 +80,7 @@ class TestTruncatedSeries:
     def test_integer_series_divide_exactly(self):
         inv2 = TruncatedSeries([2, 1], 4).inverse().coeffs
         inv1 = TruncatedSeries([1, 1], 4).inverse().coeffs
-        root = TruncatedSeries([1, 1], 4).sqrt(1).coeffs
+        root = TruncatedSeries([1, 1], 4).sqrt().coeffs
         half = (TruncatedSeries([2, 4, 3], 3) / 2).coeffs
         assert inv2 == [Fraction(1, 2), Fraction(-1, 4), Fraction(1, 8), Fraction(-1, 16)]
         assert inv1 == [1, -1, 1, -1]
@@ -159,36 +166,10 @@ class TestMinimalPolynomials:
     def test_annihilates_counts(self, cid):
         assert verify_minimal_polynomial(cid, count_class(cid, 60))
 
-    def test_degrees(self):
-        expected = {
-            ClassId.C663A: 3,
-            ClassId.C1420: 3,
-            ClassId.C733: 4,
-            ClassId.C1833A: 6,
-            ClassId.C1176: 2,
-            ClassId.C1253: 2,
-            ClassId.C1016: 2,
-        }
-        assert MINIMAL_POLYNOMIAL_DEGREE == expected
-        for cid, poly in MINIMAL_POLYNOMIALS.items():
-            assert len(poly) - 1 == expected[cid]
-
     def test_detects_wrong_series(self):
         bad = count_class(ClassId.C663A, 60)
         bad[30] += 1
         assert not verify_minimal_polynomial(ClassId.C663A, bad)
-
-
-class TestKernelRoots:
-    def test_1420_root_prefix(self):
-        ks = [TruncatedSeries.from_poly(p, 51) for p in CUBIC_KERNELS[ClassId.C1420]]
-        x = kernel_root(ks, 1, 51)
-        assert [int(c) for c in x.coeffs[:5]] == [1, 2, 5, 17, 64]
-        assert horner(ks, x).is_zero()
-
-    def test_663A_root_satisfies_kernel(self):
-        ks = [TruncatedSeries.from_poly(p, 51) for p in CUBIC_KERNELS[ClassId.C663A]]
-        assert horner(ks, kernel_root(ks, 1, 51)).is_zero()
 
 
 class TestQuarticFactorisation:
