@@ -1,8 +1,5 @@
-import itertools
 from functools import lru_cache
 from pathlib import Path
-
-import pytest
 
 from invseq.gentree import ClassId
 
@@ -28,8 +25,3 @@ def all_inversion_sequences(n: int) -> tuple[tuple[int, ...], ...]:
     for i in range(1, n + 1):
         seqs = [s + (v,) for s in seqs for v in range(i)]
     return tuple(seqs)
-
-
-@pytest.fixture(scope="session")
-def invseqs():
-    return all_inversion_sequences

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ from invseq import cli, gentree, oracle
 from invseq.cli import main
 from invseq.gentree import ClassId
 from invseq.oracle import BOUND_ENV_VAR, DEFAULT_BOUND
+from invseq.series import TruncatedSeries
 
 OVER = DEFAULT_BOUND + 1
 
@@ -65,14 +67,6 @@ class TestCount:
         rows = [json.loads(l) for l in lines]
         assert [r["count"] for r in rows] == [1, 1, 2, 5, 15, 51, 188]
 
-    def test_unknown_class(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["count", "--class", "999", "--n", "3"])
-
-    def test_gentree_needs_class(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["count", "--patterns", "001", "--n", "3", "--engine", "gentree"])
-
     def test_b_file_regeneration_is_byte_identical(self, capsys):
         _, first = run(capsys, "count", "--class", "214", "--n", "10")
         _, second = run(capsys, "count", "--class", "214", "--n", "10")
@@ -123,10 +117,6 @@ class TestSeries:
         )
         assert code == 0
         assert lines[-1].startswith("verdict OK")
-
-    def test_no_closed_form(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["series", "--class", "830", "--order", "10"])
 
     @pytest.mark.parametrize(
         "argv", ["--class 830", "--class 733 --source catalytic"], ids=["830", "733-catalytic"]
@@ -241,6 +231,8 @@ class TestWords:
         ("count --n x", {}),
         (f"verify-all --max-k {OVER}", {}),
         ("verify-all --n 9", {BOUND_ENV_VAR: "9"}),
+        ("count --class 999 --n 3", {}),
+        ("count --patterns 001 --n 3 --engine gentree", {}),
     ],
 )
 def test_bad_input_exits_2_with_one_error_line(command, env, capsys, monkeypatch):
@@ -350,6 +342,15 @@ class TestVerifyAll:
         assert code == 1
         assert lines[3] == "FAIL kernel roots: raised ValueError: not a simple root"
         assert sum(l.startswith("PASS") for l in lines) == 5
+
+
+def test_root_prefix_compares_exact_coefficients(monkeypatch):
+    # int() would truncate 129/2 to the expected 64
+    root = TruncatedSeries([1, 2, 5, 17, Fraction(129, 2)], 5)
+    monkeypatch.setattr(cli, "kernel_root", lambda ks, x0, order: root)
+    found = {where: (want, got) for where, want, got in cli.check_kernel_roots(5)}
+    want, got = found["class 1420 root prefix"]
+    assert want != got
 
 
 def test_traced_benchmark_finds_every_entry_point():

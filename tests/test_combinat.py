@@ -9,10 +9,6 @@ from invseq.combinat import (
     words_R1R2,
     words_R1R3,
 )
-from invseq.oracle import WordConstraint, count_words
-
-R1R2_FORBIDDEN = ("212", "112", "213")
-R1R3_FORBIDDEN = ("111", "212", "112", "213")
 
 
 class TestCatalan:
@@ -22,20 +18,6 @@ class TestCatalan:
     def test_negative(self):
         with pytest.raises(ValueError):
             catalan(-1)
-
-
-class TestFormulasAgainstEnumeration:
-    def test_words_R1R2(self):
-        for k in range(1, 8):
-            for b in range(1, k + 1):
-                c = WordConstraint.of(k, b, R1R2_FORBIDDEN, surjective=True)
-                assert words_R1R2(k, b) == count_words(c), (k, b)
-
-    def test_words_R1R3(self):
-        for k in range(1, 8):
-            for b in range(1, k + 1):
-                c = WordConstraint.of(k, b, R1R3_FORBIDDEN, surjective=True)
-                assert words_R1R3(k, b) == count_words(c), (k, b)
 
 
 class TestSupport:
@@ -51,20 +33,6 @@ class TestSupport:
 
 
 class TestIdentities:
-    def test_multiplicity_m_is_partial_sum(self):
-        for ell in range(13):
-            for b in range(ell + 1):
-                assert multiplicity_m(ell, b) == sum(
-                    words_R1R2(k, b) for k in range(b, ell + 1)
-                ), (ell, b)
-
-    def test_multiplicity_w_is_adjacent_sum(self):
-        for ell in range(13):
-            for b in range(ell + 1):
-                assert multiplicity_w(ell, b) == words_R1R3(ell - 1, b) + words_R1R3(
-                    ell, b
-                ), (ell, b)
-
     def test_closed_forms(self):
         for ell in range(13):
             for b in range(ell + 1):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from invseq.core import (
     InversionSequence,
     Pattern,
-    PatternSet,
     Relation,
     RelationTriple,
     all_triples,
