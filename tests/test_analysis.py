@@ -63,6 +63,11 @@ def classification():
 
 
 class TestClassification:
+    def test_headline_numbers(self, classification):
+        assert classification.n_triples == 343
+        assert classification.n_pattern_classes == 98
+        assert classification.n_wilf_classes == 63
+
     def test_partitions(self, classification):
         seen = set()
         for members in classification.pattern_classes.values():

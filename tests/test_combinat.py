@@ -33,6 +33,20 @@ class TestSupport:
 
 
 class TestIdentities:
+    def test_multiplicity_m_is_partial_sum(self):
+        for ell in range(13):
+            for b in range(ell + 1):
+                assert multiplicity_m(ell, b) == sum(
+                    words_R1R2(k, b) for k in range(b, ell + 1)
+                ), (ell, b)
+
+    def test_multiplicity_w_is_adjacent_sum(self):
+        for ell in range(13):
+            for b in range(ell + 1):
+                assert multiplicity_w(ell, b) == words_R1R3(ell - 1, b) + words_R1R3(
+                    ell, b
+                ), (ell, b)
+
     def test_closed_forms(self):
         for ell in range(13):
             for b in range(ell + 1):

@@ -48,6 +48,11 @@ class TestPerClass:
             fast = rule.step_state(fast, depth)
             census = rule.step_census(census, depth)
 
+    def test_matches_oracle(self, cid):
+        counts = count_class(cid, 8)
+        for n in range(9):
+            assert counts[n] == count_avoiders(n, cid.patterns), (cid, n)
+
     def test_i7_column(self, cid):
         rule = rule_for(cid)
         assert sum(c for l, c in label_census(cid, 7).items() if rule.counted(l)) == cid.i7

@@ -52,6 +52,12 @@ class TestCountAvoiders:
         for n in range(7):
             assert count_avoiders(n, ps) == brute_count(n, ps)
 
+    def test_avoiding_001_gives_powers_of_two(self):
+        ps = PatternSet.of("001")
+        assert [count_avoiders(n, ps) for n in range(1, 9)] == [
+            2 ** (n - 1) for n in range(1, 9)
+        ]
+
     def test_empty_pattern_set_counts_everything(self):
         import math
 
