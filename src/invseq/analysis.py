@@ -104,9 +104,7 @@ class TripleClassification:
 CLASSIFY_DEPTH = 10  # classify counts n = 0..CLASSIFY_DEPTH unless told otherwise
 
 
-def classify_triples(
-    n_max: int = CLASSIFY_DEPTH, bound: int | None = None
-) -> TripleClassification:
+def classify_triples(n_max: int = CLASSIFY_DEPTH) -> TripleClassification:
     """Group all 343 relation triples by pattern set and counting sequence.
 
     Two triples whose induced pattern sets agree after closure under the
@@ -120,7 +118,7 @@ def classify_triples(
         key = close_pattern_set(triple_to_pattern_set(t))
         pattern_classes.setdefault(key, []).append(t)
     counts = {
-        ps: tuple(count_avoiders(n, ps, bound) for n in range(n_max + 1))
+        ps: tuple(count_avoiders(n, ps) for n in range(n_max + 1))
         for ps in pattern_classes
     }
     wilf: dict[tuple[int, ...], list[PatternSet]] = {}

@@ -55,27 +55,19 @@ def _emit_rows(rows: Iterable[dict], fmt: str, text: Callable[[dict], str]) -> N
         print(json.dumps(row, sort_keys=True) if fmt == "json-lines" else text(row))
 
 
-def _patterns_for(args) -> PatternSet:
-    if args.class_id is not None:
-        return ClassId.parse(args.class_id).patterns
-    if args.triple is not None:
-        return triple_to_pattern_set(RelationTriple.parse(args.triple))
-    return PatternSet.of(*args.patterns)
-
-
 def cmd_count(args) -> int:
+    """A named class is counted by its succession rule, any other pattern
+    set or triple by exhaustive search."""
     if args.n < 0:
         raise ValueError("--n must be nonnegative")
-    engine = args.engine
-    if engine is None:
-        engine = "gentree" if args.class_id is not None else "oracle"
-    if engine == "gentree":
-        if args.class_id is None:
-            raise ValueError("the gentree engine needs --class")
+    if args.class_id is not None:
         counts = count_class(ClassId.parse(args.class_id), args.n)
     else:
-        patterns = _patterns_for(args)
-        counts = [count_avoiders(n, patterns, args.bound) for n in range(args.n + 1)]
+        if args.triple is not None:
+            patterns = triple_to_pattern_set(RelationTriple.parse(args.triple))
+        else:
+            patterns = PatternSet.of(*args.patterns)
+        counts = [count_avoiders(n, patterns) for n in range(args.n + 1)]
     rows = [{"n": n, "count": c} for n, c in enumerate(counts)]
     _emit_rows(rows, args.format, "{n} {count}".format_map)
     return 0
@@ -103,7 +95,7 @@ def cmd_series(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    tc = classify_triples(args.max_n, args.bound)
+    tc = classify_triples(args.max_n)
     rows = [
         {
             "representative": str(ps),
@@ -133,11 +125,8 @@ def cmd_asymptotics(args) -> int:
         raise ValueError("--terms must be nonnegative")
     cid = ClassId.parse(args.class_id)
     info = GROWTH_REFERENCE[cid]
-    model = args.model
-    if model is None:
-        model = "stretched" if info.stretched else "algebraic"
     counts = count_class(cid, args.terms)
-    if model == "stretched":
+    if info.stretched:
         fit = fit_stretched(counts, info.mu)
         row = {
             "class": cid.value,
@@ -149,7 +138,7 @@ def cmd_asymptotics(args) -> int:
             "residual": fit.residual,
         }
     else:
-        est = estimate_growth(counts, args.points)
+        est = estimate_growth(counts)
         row = {
             "class": cid.value,
             "model": "algebraic",
@@ -172,7 +161,7 @@ def cmd_words(args) -> int:
     forbidden, formula = WORD_RULESETS[args.rules]
     expected = formula(args.k, args.b)
     constraint = WordConstraint.of(args.k, args.b, forbidden, surjective=True)
-    actual = count_words(constraint, args.bound)
+    actual = count_words(constraint)
     row = {
         "k": args.k,
         "b": args.b,
@@ -318,8 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="invseq",
         description="Exact enumeration of pattern-avoiding inversion sequences.",
-        epilog=f"The {BOUND_ENV_VAR} environment variable sets the default "
-        "exhaustive-search bound; --bound flags override it.",
+        epilog=f"The {BOUND_ENV_VAR} environment variable sets the exhaustive-search bound.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -334,8 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
         '"(-,-,>)" or --triple=-,-,>',
     )
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--engine", choices=("gentree", "oracle"))
-    p.add_argument("--bound", type=int)
     _add_format(p, default="b-file")
     p.set_defaults(run=cmd_count)
 
@@ -349,15 +335,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="group the 343 relation triples")
     p.add_argument("--max-n", type=int, default=CLASSIFY_DEPTH)
-    p.add_argument("--bound", type=int)
     _add_format(p, choices=("table", "json-lines"))
     p.set_defaults(run=cmd_classify)
 
     p = sub.add_parser("asymptotics", help="growth-rate fit of a class")
     p.add_argument("--class", dest="class_id", required=True, metavar="ID")
     p.add_argument("--terms", type=int, default=210)
-    p.add_argument("--model", choices=("algebraic", "stretched"))
-    p.add_argument("--points", type=int, default=10)
     _add_format(p, choices=("table", "json-lines"))
     p.set_defaults(run=cmd_asymptotics)
 
@@ -365,7 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--rules", choices=tuple(WORD_RULESETS), required=True)
-    p.add_argument("--bound", type=int)
     _add_format(p, choices=("table", "json-lines"))
     p.set_defaults(run=cmd_words)
 

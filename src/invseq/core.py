@@ -14,7 +14,7 @@ import enum
 import functools
 from dataclasses import dataclass
 from itertools import combinations, product
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 
 class Relation(enum.Enum):
@@ -116,16 +116,8 @@ class PatternSet:
     patterns: frozenset[Pattern]
 
     @classmethod
-    def of(cls, *specs: str | Pattern | Sequence[int]) -> "PatternSet":
-        pats = []
-        for s in specs:
-            if isinstance(s, Pattern):
-                pats.append(s)
-            elif isinstance(s, str):
-                pats.append(Pattern.parse(s))
-            else:
-                pats.append(Pattern(tuple(s)))
-        return cls(frozenset(pats))
+    def of(cls, *specs: str) -> "PatternSet":
+        return cls(frozenset(map(Pattern.parse, specs)))
 
     def __iter__(self) -> Iterator[Pattern]:
         return iter(self.patterns)
@@ -146,29 +138,6 @@ class InversionSequence:
 
     def __str__(self) -> str:
         return "(" + ",".join(str(v) for v in self.values) + ")"
-
-
-def validate(values: Iterable[int]) -> InversionSequence:
-    """Check 0 <= a_i < i (positions 1-based); the empty sequence is valid."""
-    vals = tuple(values)
-    for pos, v in enumerate(vals, start=1):
-        if not 0 <= v < pos:
-            raise ValueError(f"entry {v} at position {pos} violates 0 <= a_i < i")
-    return InversionSequence(vals)
-
-
-def phi(permutation: Sequence[int]) -> InversionSequence:
-    """The inversion-count bijection from permutations of {1..n}.
-
-    a_i = #{j < i : pi_j > pi_i}.
-    """
-    n = len(permutation)
-    if sorted(permutation) != list(range(1, n + 1)):
-        raise ValueError("input is not a permutation of 1..n")
-    vals = tuple(
-        sum(1 for j in range(i) if permutation[j] > permutation[i]) for i in range(n)
-    )
-    return validate(vals)
 
 
 def reduce_word(word: Sequence[int]) -> Pattern:

@@ -42,7 +42,7 @@ class OracleBoundError(ValueError):
 
 
 def oracle_bound(override: int | None = None) -> int:
-    name, raw = "--bound", override
+    name, raw = "bound", override
     if override is None:
         name, raw = BOUND_ENV_VAR, os.environ.get(BOUND_ENV_VAR, str(DEFAULT_BOUND))
     try:
@@ -116,7 +116,7 @@ def _compile(patterns: Iterable[Pattern], size: int) -> tuple[int | None, Callab
     return start, extend
 
 
-def _require_size(what: str, size: int, bound: int | None) -> None:
+def _require_size(what: str, size: int, bound: int | None = None) -> None:
     """Refuse a negative size, and one beyond the exhaustive-search bound;
     the message names the environment variable when it set the bound."""
     if size < 0:
@@ -193,11 +193,9 @@ def count_avoiders(n: int, patterns: PatternSet, bound: int | None = None) -> in
     return counts[n]
 
 
-def enumerate_avoiders(
-    n: int, patterns: PatternSet, bound: int | None = None
-) -> list[InversionSequence]:
+def enumerate_avoiders(n: int, patterns: PatternSet) -> list[InversionSequence]:
     """The avoiders themselves, in lexicographic order."""
-    _require_size(f"n={n}", n, bound)
+    _require_size(f"n={n}", n)
     start, extend = _compile(patterns, n)
     out: list[InversionSequence] = []
     prefix: list[int] = []
@@ -254,10 +252,10 @@ class WordConstraint:
         return cls(length, max_letter, pats, surjective)
 
 
-def count_words(constraint: WordConstraint, bound: int | None = None) -> int:
+def count_words(constraint: WordConstraint) -> int:
     """Count words satisfying the constraint, by a level sweep over prefix states."""
     k, b = constraint.length, constraint.max_letter
-    _require_size(f"k={k}, b={b}", max(k, b), bound)
+    _require_size(f"k={k}, b={b}", max(k, b))
     alphabet = ((1 << (b + 1)) - 1) & ~1  # letters 1..b
     cover = alphabet if constraint.surjective else 0
     start, extend = _compile(constraint.forbidden, b + 1)

@@ -156,6 +156,11 @@ class TestEstimateGrowth:
         with pytest.raises(ValueError):
             estimate_growth([1, 1, 2], points=10)
 
+    @pytest.mark.parametrize("points", [0, 1])
+    def test_needs_two_points(self, points):
+        with pytest.raises(ValueError, match="at least 2"):
+            estimate_growth([2 ** n for n in range(60)], points=points)
+
     def test_on_class_counts(self):
         counts = count_class(ClassId.C1420, 210)
         est = estimate_growth(counts)

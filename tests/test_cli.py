@@ -1,3 +1,4 @@
+import argparse
 import importlib.util
 import json
 import os
@@ -32,9 +33,7 @@ class TestCount:
         assert lines[-1] == "7 1176"
 
     def test_patterns_oracle(self, capsys):
-        code, lines = run(
-            capsys, "count", "--patterns", "001", "--n", "5", "--engine", "oracle"
-        )
+        code, lines = run(capsys, "count", "--patterns", "001", "--n", "5")
         assert code == 0
         assert lines[-1] == "5 16"
 
@@ -161,11 +160,11 @@ class TestAsymptotics:
     def test_stretched(self, capsys):
         code, lines = run(
             capsys,
-            "asymptotics", "--class", "759", "--terms", "150",
-            "--model", "stretched", "--format", "json-lines",
+            "asymptotics", "--class", "759", "--terms", "150", "--format", "json-lines",
         )
         assert code == 0
         row = json.loads(lines[0])
+        assert row["model"] == "stretched"
         assert row["sigma"] == 0.375
         assert row["base"] == 9.0
 
@@ -196,7 +195,7 @@ class TestWords:
         assert "formula 0" in lines
 
     def test_verdict_fail(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "count_words", lambda constraint, bound: 139)
+        monkeypatch.setattr(cli, "count_words", lambda constraint: 139)
         code, lines = run(capsys, "words", "--k", "6", "--b", "4", "--rules", "R1R2")
         assert code == 1
         assert lines == ["formula 140", "enumerated 139", "verdict FAIL"]
@@ -233,6 +232,8 @@ class TestWords:
         ("verify-all --n 9", {BOUND_ENV_VAR: "9"}),
         ("count --class 999 --n 3", {}),
         ("count --patterns 001 --n 3 --engine gentree", {}),
+        ("asymptotics --class 247 --model algebraic", {}),
+        ("words --k 3 --b 2 --rules R1R2 --bound 9", {}),
     ],
 )
 def test_bad_input_exits_2_with_one_error_line(command, env, capsys, monkeypatch):
@@ -265,12 +266,28 @@ def test_oracle_bound_error_names_the_variable(command, capsys, monkeypatch):
     assert BOUND_ENV_VAR in err[0]
 
 
-def test_bound_flag_error_does_not_name_the_variable(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["count", "--patterns", "001", "--n", "3", "--bound", "2"])
-    assert exc.value.code == 2
-    err = capsys.readouterr().err.splitlines()
-    assert err == ["error: n=3 exceeds exhaustive-search bound 2"]
+# Every option of every subcommand.  A setting the program already knows
+# (the counter of a named class, the growth model of a class, the
+# exhaustive-search bound) is not an option; adding one is an edit here.
+CLI_OPTIONS = {
+    "count": ["--class", "--patterns", "--triple", "--n", "--format"],
+    "series": ["--class", "--order", "--source", "--verify-minpoly", "--format"],
+    "classify": ["--max-n", "--format"],
+    "asymptotics": ["--class", "--terms", "--format"],
+    "words": ["--k", "--b", "--rules", "--format"],
+    "verify-all": ["--n", "--order", "--max-k"],
+}
+
+
+def test_cli_options_are_the_pinned_set():
+    def options(parser):
+        strings = [s for action in parser._actions for s in action.option_strings]
+        return [s for s in strings if s not in ("-h", "--help")]
+
+    parser = cli.build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert options(parser) == []
+    assert {name: options(p) for name, p in commands.choices.items()} == CLI_OPTIONS
 
 
 def test_negative_series_order_names_the_option(capsys):

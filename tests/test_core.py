@@ -14,10 +14,8 @@ from invseq.core import (
     avoids_triple,
     contains_pattern,
     length3_patterns,
-    phi,
     reduce_word,
     triple_to_pattern_set,
-    validate,
     word_contains,
 )
 from conftest import all_inversion_sequences
@@ -101,26 +99,6 @@ class TestPattern:
     def test_reduction_idempotent(self, w):
         r = reduce_word(w)
         assert reduce_word(r.digits).digits == r.digits
-
-
-class TestInversionSequences:
-    def test_validate(self):
-        assert validate([0, 1, 0]).values == (0, 1, 0)
-        with pytest.raises(ValueError):
-            validate([1])
-        with pytest.raises(ValueError):
-            validate([0, 2])
-        with pytest.raises(ValueError):
-            validate([0, -1])
-
-    def test_phi_example(self):
-        # pi = 3 1 2: element 1 has one larger predecessor, element 2 has one
-        assert phi([3, 1, 2]).values == (0, 1, 1)
-
-    def test_phi_bijective_on_s4(self):
-        images = {phi(p).values for p in itertools.permutations([1, 2, 3, 4])}
-        assert len(images) == 24
-        assert images == set(all_inversion_sequences(4))
 
 
 class TestTripleAvoidance:

@@ -138,6 +138,16 @@ class TestBound:
             count_avoiders(4, PatternSet.of("001"))
         assert oracle_bound(8) == 8
 
+    def test_bound_error_does_not_name_the_variable(self):
+        with pytest.raises(OracleBoundError) as exc:
+            count_avoiders(3, PatternSet.of("001"), 2)
+        assert str(exc.value) == "n=3 exceeds exhaustive-search bound 2"
+
+    def test_negative_bound_names_the_parameter(self):
+        with pytest.raises(ValueError) as exc:
+            count_avoiders(3, PatternSet.of("001"), -1)
+        assert str(exc.value) == "bound must be nonnegative, not -1"
+
 
 class TestEnumerate:
     def test_lexicographic_and_consistent(self):
