@@ -211,7 +211,9 @@ def estimate_growth(counts: list[int], points: int = 10) -> GrowthEstimate:
         raise ValueError("points must be at least 2")
     n_max = len(counts) - 2
     if n_max < 2 * points + 2:
-        raise ValueError("not enough terms for the requested extrapolation depth")
+        raise ValueError(
+            f"the growth estimate needs terms up to n = {2 * points + 3}, got {len(counts) - 1}"
+        )
     step = max(1, n_max // (2 * points))
     ns = [n_max - j * step for j in range(points)]
     ws = [math.prod(Fraction(n, n - m) for m in ns if m != n) for n in ns]
@@ -233,7 +235,6 @@ class StretchedFit:
     sigma: float
     exponent: float
     log_mu1: float
-    log_c: float
     residual: float
 
 
@@ -255,9 +256,9 @@ def fit_stretched(counts: list[int], base: float) -> StretchedFit:
     ns = range(STRETCHED_N_MIN, n_max + 1)
     ys = [math.log(counts[n]) - n * math.log(base) for n in ns]
     columns = [[1.0] * len(ns), [math.log(n) for n in ns], [n ** STRETCHED_SIGMA for n in ns]]
-    (log_c, g, log_mu1), res = _least_squares(columns, ys)
+    (_, g, log_mu1), res = _least_squares(columns, ys)  # the constant log C is not reported
     residual = math.sqrt(math.fsum(r * r for r in res) / len(ns))
-    return StretchedFit(base, STRETCHED_SIGMA, g, log_mu1, log_c, residual)
+    return StretchedFit(base, STRETCHED_SIGMA, g, log_mu1, residual)
 
 
 def _least_squares(columns: list[list[float]], ys: list[float]) -> tuple[list[float], list[float]]:

@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from itertools import zip_longest
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -95,6 +96,8 @@ def cmd_series(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    if args.max_n < 0:
+        raise ValueError("--max-n must be nonnegative")
     tc = classify_triples(args.max_n)
     rows = [
         {
@@ -127,23 +130,13 @@ def cmd_asymptotics(args) -> int:
     info = GROWTH_REFERENCE[cid]
     counts = count_class(cid, args.terms)
     if info.stretched:
-        fit = fit_stretched(counts, info.mu)
-        row = {
-            "class": cid.value,
-            "model": "stretched",
-            "base": fit.base,
-            "sigma": fit.sigma,
-            "exponent": fit.exponent,
-            "log_mu1": fit.log_mu1,
-            "residual": fit.residual,
-        }
+        row = {"class": cid.value, "model": "stretched", **asdict(fit_stretched(counts, info.mu))}
     else:
         est = estimate_growth(counts)
         row = {
             "class": cid.value,
             "model": "algebraic",
-            "mu": est.mu,
-            "exponent": est.exponent,
+            **asdict(est),
             "reference_mu": info.mu,
             "relative_error": abs(est.mu - info.mu) / info.mu,
         }

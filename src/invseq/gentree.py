@@ -16,7 +16,9 @@ state of the rule's own, which need not encode the whole label census: it
 only has to be closed under the step and give the term, ``counted_total``.
 Each layout family states its state's layout once, in ``_layout``; from it
 ``project`` reads the fast state off a reference census, and the starting
-state is the projection of the root.
+state is the projection of the root.  A family whose classes share one
+rule states its moves once (``_ResetRule``, ``_CommitmentRule``, the a/b
+moves of the 1176 family), and each class only what is its own.
 The steppers of 663A, 1420 and the 1176 family keep one list per tag; 733
 and 1833A keep the row sums and the s = 0 column of their (p, s) grid.
 These take O(levels) big-integer additions per step.  The seven grid rules
@@ -143,11 +145,12 @@ class RuleError(RuntimeError):
 
 
 class SuccessionRule:
-    """Base: a root, ``expand`` and ``counted``, and ``step_census``, the
-    reference step on ``{Label: count}`` censuses.  Every rule adds
-    ``step_state`` and ``counted_total`` on its own compact state, and its
-    family the layout of that state, ``_layout(take, depth)``: the state at
-    depth, built by asking ``take(label)`` for every cell's count.
+    """Base: a root, ``expand`` and ``counted`` (every label, unless the rule
+    overrides it), and ``step_census``, the reference step on ``{Label:
+    count}`` censuses.  Every rule adds ``step_state`` and ``counted_total``
+    on its own compact state, and its family the layout of that state,
+    ``_layout(take, depth)``: the state at depth, built by asking
+    ``take(label)`` for every cell's count.
     """
 
     class_id: ClassId
@@ -159,7 +162,7 @@ class SuccessionRule:
         raise NotImplementedError
 
     def counted(self, label: Label) -> bool:
-        raise NotImplementedError
+        return True  # rules whose tree carries phantom labels override this
 
     def step_census(self, census: dict[Label, int], depth: int) -> dict[Label, int]:
         new: dict[Label, int] = {}
@@ -200,7 +203,9 @@ class _Rule1176Family(SuccessionRule):
     Tag a: non-decreasing, ending on h (label carries the length).
     Tags b, c, d track how much of a 101 pattern (max, premax, max) has
     occurred; tag e covers the strictly-descending (or single-value) tail.
-    b and c label phantom objects and are never counted.
+    b and c label phantom objects and are never counted.  The a and b moves
+    are shared; each class states its own c, d and e moves in
+    ``_moves(tag, k)``, the children of the label (k)_tag.
     """
 
     def root(self) -> Label:
@@ -223,27 +228,8 @@ class _Rule1176Family(SuccessionRule):
         elif tag == "b":
             yield Label("b", label.params), 1
             yield Label("c", label.params), 1
-        elif tag == "c":
-            if self.class_id is ClassId.C1253:
-                yield Label("c", label.params), 1
-            yield Label("d", label.params), 1
-        elif tag == "d":
-            if self.class_id is ClassId.C1253:
-                yield Label("d", label.params), 2
-            else:
-                yield Label("d", label.params), 1
-            if self.class_id is ClassId.C1176:
-                (k,) = label.params
-                for i in range(k):
-                    yield Label("e", (i,)), 1
-        elif tag == "e":
-            (ell,) = label.params
-            if self.class_id is ClassId.C1176:
-                for i in range(ell):
-                    yield Label("e", (i,)), 1
-            elif self.class_id is ClassId.C1253:
-                yield Label("e", (ell,)), 1
-            # 1016: e-labels are leaves
+        elif tag in ("c", "d", "e"):
+            yield from self._moves(tag, *label.params)
         else:
             raise RuleError(f"unknown tag {tag!r}")
 
@@ -276,6 +262,13 @@ def _strict_suffix_sums(xs: list[int]) -> list[int]:
 class Rule1176(_Rule1176Family):
     class_id = ClassId.C1176
 
+    def _moves(self, tag: str, k: int) -> Iterator[tuple[Label, int]]:
+        if tag in ("c", "d"):
+            yield Label("d", (k,)), 1
+        if tag in ("d", "e"):
+            for i in range(k):
+                yield Label("e", (i,)), 1
+
     def step_state(self, state, depth: int):
         a, b, c, d, e = state
         new_a, new_b = self._step_ab(a, b, depth)
@@ -286,6 +279,15 @@ class Rule1176(_Rule1176Family):
 
 class Rule1253(_Rule1176Family):
     class_id = ClassId.C1253
+
+    def _moves(self, tag: str, k: int) -> Iterator[tuple[Label, int]]:
+        if tag == "c":
+            yield Label("c", (k,)), 1
+            yield Label("d", (k,)), 1
+        elif tag == "d":
+            yield Label("d", (k,)), 2
+        else:
+            yield Label("e", (k,)), 1
 
     def step_state(self, state, depth: int):
         a, b, c, d, e = state
@@ -298,6 +300,10 @@ class Rule1253(_Rule1176Family):
 
 class Rule1016(_Rule1176Family):
     class_id = ClassId.C1016
+
+    def _moves(self, tag: str, k: int) -> Iterator[tuple[Label, int]]:
+        if tag != "e":  # e-labels are leaves
+            yield Label("d", (k,)), 1
 
     def step_state(self, state, depth: int):
         a, b, c, d, e = state
@@ -315,9 +321,6 @@ class _TwoGridRule(SuccessionRule):
 
     def root(self) -> Label:
         return Label(self.tags[0], (0, 0, 0))
-
-    def counted(self, label: Label) -> bool:
-        return True
 
     def _layout(self, take, depth: int):
         return tuple(
@@ -468,8 +471,8 @@ def _add_catalan_columns(cols: list[list[int]], col: list[int], next_col) -> lis
 
 
 class _LeftGrownRule(SuccessionRule):
-    """Common fast-path plumbing for the left-grown rules that keep their
-    whole grid of integer-pair labels (p, s).
+    """The left-grown rules that keep their whole grid of integer-pair
+    labels (p, s): 214, 1509, 1953A, and 759 and 247 as ``_CommitmentRule``.
 
     Every label has p + s <= depth, so the fast state is that triangle,
     column-major: state[s][p] for p = 0..depth - s.  ``counted_rows`` and
@@ -496,16 +499,26 @@ class _ResetRule(SuccessionRule):
 
     A label (p, s) stays as (p + 1, s), and also as (p + 1, 0) when s > 0;
     the counted labels, and only they, jump to every (p', k) with p' >= 1
-    and p' + k <= p.  The step reads the (p, s) grid only through its row
-    sums r[p] and its s = 0 column z[p], and yields both again, so the fast
-    state is the pair (r, z); ``counted_vector`` picks the one that sums
-    the counted labels.
+    and p' + k <= p.  The two classes differ only in which labels count.
+    The step reads the (p, s) grid only through its row sums r[p] and its
+    s = 0 column z[p], and yields both again, so the fast state is the pair
+    (r, z); ``counted_vector`` picks the one that sums the counted labels.
     """
 
     counted_vector: int  # 0: r, every label counted; 1: z, those with s = 0
 
     def root(self) -> Label:
         return Label("", (0, 0))
+
+    def expand(self, label: Label, depth: int) -> Iterator[tuple[Label, int]]:
+        p, s = label.params
+        yield Label("", (p + 1, s)), 1
+        if s > 0:
+            yield Label("", (p + 1, 0)), 1
+        if self.counted(label):
+            for ell in range(p):
+                for k in range(ell + 1):
+                    yield Label("", (p - ell, k)), 1
 
     def _layout(self, take, depth: int):
         cols = _triangle(take, depth)
@@ -528,22 +541,10 @@ class _ResetRule(SuccessionRule):
 
 
 class Rule1833A(_ResetRule):
-    """(p, s) = lengths of the two runs of zeros; every label is counted."""
+    """Every label is counted, so every label jumps."""
 
     class_id = ClassId.C1833A
     counted_vector = 0
-
-    def counted(self, label: Label) -> bool:
-        return True
-
-    def expand(self, label: Label, depth: int) -> Iterator[tuple[Label, int]]:
-        p, s = label.params
-        yield Label("", (p + 1, s)), 1
-        if s > 0:
-            yield Label("", (p + 1, 0)), 1
-        for ell in range(p):
-            for k in range(ell + 1):
-                yield Label("", (p - ell, k)), 1
 
 
 class Rule733(_ResetRule):
@@ -555,16 +556,6 @@ class Rule733(_ResetRule):
 
     def counted(self, label: Label) -> bool:
         return label.params[1] == 0
-
-    def expand(self, label: Label, depth: int) -> Iterator[tuple[Label, int]]:
-        p, s = label.params
-        yield Label("", (p + 1, s)), 1
-        if s > 0:
-            yield Label("", (p + 1, 0)), 1
-        if s == 0:
-            for ell in range(p):
-                for k in range(ell + 1):
-                    yield Label("", (p - ell, k)), 1
 
 
 class Rule214(_LeftGrownRule):
@@ -619,9 +610,6 @@ class Rule1509(_LeftGrownRule):
 class Rule1953A(_LeftGrownRule):
     class_id = ClassId.C1953A
 
-    def counted(self, label: Label) -> bool:
-        return True
-
     def expand(self, label: Label, depth: int) -> Iterator[tuple[Label, int]]:
         p, s = label.params
         for i in range(s + 1):
@@ -637,61 +625,62 @@ class Rule1953A(_LeftGrownRule):
         return _add_antidiagonals(grown, _suffix_sums(grown[0][1:]))
 
 
-class Rule759(_LeftGrownRule):
-    """(p, c) = leading zeros and remaining commitments; the jump out of a
-    committed-free label carries multiplicity m_{l,b} = binom(l, b) * C_b,
-    the number of admissible commitment words."""
+class _CommitmentRule(_LeftGrownRule):
+    """759 and 247: (p, c) = leading zeros and remaining commitments.
+
+    A label (p, c) stays as (p + 1, c), and also as (p + 1, c - 1) when
+    c > 0; a label with c = 0 jumps to each (p - l, b) with a nonzero
+    ``multiplicity(l, b)``, the number of admissible commitment words.
+    Summed over l, column b takes C_b times b + 1 rounds of ``next_col``
+    applied to column 0, which ``_add_catalan_columns`` adds in one pass.
+    """
+
+    counted_cols = 1
+    multiplicity: staticmethod
+    next_col: staticmethod
+
+    def expand(self, label: Label, depth: int) -> Iterator[tuple[Label, int]]:
+        p, c = label.params
+        yield Label("", (p + 1, c)), 1
+        if c > 0:
+            yield Label("", (p + 1, c - 1)), 1
+        else:
+            for ell in range(p):
+                for b in range(ell + 1):
+                    mult = self.multiplicity(ell, b)
+                    if mult:
+                        yield Label("", (p - ell, b)), mult
+
+    def step_state(self, state, depth: int):
+        return _add_catalan_columns(_shift_down(state), self.next_col(state[0]), self.next_col)
+
+
+class Rule759(_CommitmentRule):
+    """Jump multiplicity m_{l,b} = binom(l, b) * C_b, whose columns are
+    iterated suffix sums.  Counted labels have c = 0."""
 
     class_id = ClassId.C759
-    counted_cols = 1
+    multiplicity = staticmethod(multiplicity_m)
+    next_col = staticmethod(_suffix_sums)
 
     def counted(self, label: Label) -> bool:
         return label.params[1] == 0
 
-    def expand(self, label: Label, depth: int) -> Iterator[tuple[Label, int]]:
-        p, c = label.params
-        yield Label("", (p + 1, c)), 1
-        if c > 0:
-            yield Label("", (p + 1, c - 1)), 1
-        if c == 0 and p >= 1:
-            for ell in range(p):
-                for b in range(ell + 1):
-                    yield Label("", (p - ell, b)), multiplicity_m(ell, b)
 
-    def step_state(self, state, depth: int):
-        # (p, 0) jumps to (p - l, b) with weight binom(l, b) * C_b; summed
-        # over l, column b takes the b-times iterated strict suffix sums
-        return _add_catalan_columns(_shift_down(state), _suffix_sums(state[0]), _suffix_sums)
-
-
-class Rule247(_LeftGrownRule):
+class Rule247(_CommitmentRule):
     """As 759 with at most one repeat per commitment letter; jump
-    multiplicity w_{l,b} = binom(b+1, l-b) * C_b.  Counted labels are the
-    genuine avoiders: c = 0 and p <= 2."""
+    multiplicity w_{l,b} = binom(b+1, l-b) * C_b, whose columns are
+    iterated pairwise sums.  Counted labels are the genuine avoiders: c = 0
+    and p <= 2."""
 
     class_id = ClassId.C247
-    counted_rows, counted_cols = 3, 1
+    counted_rows = 3
+    multiplicity = staticmethod(multiplicity_w)
+    next_col = staticmethod(_pair_sums)
 
     def counted(self, label: Label) -> bool:
         p, c = label.params
         return c == 0 and p <= 2
-
-    def expand(self, label: Label, depth: int) -> Iterator[tuple[Label, int]]:
-        p, c = label.params
-        yield Label("", (p + 1, c)), 1
-        if c > 0:
-            yield Label("", (p + 1, c - 1)), 1
-        if c == 0 and p >= 1:
-            for ell in range(p):
-                for b in range(ell + 1):
-                    w = multiplicity_w(ell, b)
-                    if w:
-                        yield Label("", (p - ell, b)), w
-
-    def step_state(self, state, depth: int):
-        # (p, 0) jumps to (p - l, b) with weight binom(b + 1, l - b) * C_b;
-        # summed over l, column b takes b + 1 shifted pairwise sums
-        return _add_catalan_columns(_shift_down(state), _pair_sums(state[0]), _pair_sums)
 
 
 class _SingleRunRule(SuccessionRule):
@@ -740,9 +729,6 @@ class Rule663A(_SingleRunRule):
 
 class Rule1420(_SingleRunRule):
     class_id = ClassId.C1420
-
-    def counted(self, label: Label) -> bool:
-        return True
 
     def expand(self, label: Label, depth: int) -> Iterator[tuple[Label, int]]:
         (p,) = label.params

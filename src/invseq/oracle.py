@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from .core import (
     InversionSequence,
@@ -220,8 +220,8 @@ def enumerate_avoiders(n: int, patterns: PatternSet) -> list[InversionSequence]:
 class WordConstraint:
     """Words of length k on the alphabet {1..b} avoiding classical patterns.
 
-    Forbidden words are given as plain digit tuples (e.g. (2,1,2)); only
-    their reduction matters for containment, so they are normalised here.
+    Forbidden words are given as digit strings (e.g. "212"); only their
+    reduction matters for containment, so they are normalised here.
     """
 
     length: int
@@ -242,13 +242,10 @@ class WordConstraint:
         cls,
         length: int,
         max_letter: int,
-        forbidden: Iterable[Sequence[int] | str] = (),
+        forbidden: Iterable[str] = (),
         surjective: bool = False,
     ) -> "WordConstraint":
-        pats = frozenset(
-            reduce_word([int(c) for c in w] if isinstance(w, str) else list(w))
-            for w in forbidden
-        )
+        pats = frozenset(reduce_word([int(c) for c in w]) for w in forbidden)
         return cls(length, max_letter, pats, surjective)
 
 

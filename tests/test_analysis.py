@@ -153,7 +153,7 @@ class TestEstimateGrowth:
         assert est.exponent == 1.0
 
     def test_needs_enough_terms(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"needs terms up to n = 23, got 2$"):
             estimate_growth([1, 1, 2], points=10)
 
     @pytest.mark.parametrize("points", [0, 1])

@@ -302,6 +302,12 @@ def test_negative_asymptotics_terms_names_the_option(capsys):
     assert capsys.readouterr().err == "error: --terms must be nonnegative\n"
 
 
+def test_negative_classify_max_n_names_the_option(capsys):
+    with pytest.raises(SystemExit):
+        main(["classify", "--max-n", "-1"])
+    assert capsys.readouterr().err == "error: --max-n must be nonnegative\n"
+
+
 def test_cli_imports_the_standard_library_only():
     src = str(Path(cli.__file__).resolve().parents[1])
     probe = "import sys, invseq.cli; print('numpy' in sys.modules)"

@@ -1,10 +1,13 @@
+import ast
 import hashlib
 import json
 import re
+from pathlib import Path
 
 import pytest
 
 from invseq.combinat import multiplicity_m
+from invseq import gentree
 from invseq.core import PatternSet
 from invseq.gentree import (
     ClassId,
@@ -150,6 +153,19 @@ def test_project_refuses_a_label_outside_the_layout(cid, label):
     census = {**label_census(cid, 2), label: 1}
     with pytest.raises(RuleError, match=re.escape(str(label))):
         rule_for(cid).project(census, 2)
+
+
+def test_no_rule_method_branches_on_its_class():
+    """A family states its shared moves once and each class its own, so no
+    method in gentree compares ``self.class_id``."""
+    tree = ast.parse(Path(gentree.__file__).read_text())
+    branches = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Compare)
+        and any(ast.unparse(side) == "self.class_id" for side in [node.left, *node.comparators])
+    ]
+    assert branches == []
 
 
 class TestErrors:
