@@ -78,9 +78,8 @@ def cmd_series(args) -> int:
     if args.order < 0:
         raise ValueError("--order must be nonnegative")
     cid = ClassId.parse(args.class_id)
-    expand = iterate_catalytic if args.source == "catalytic" else expand_closed_form
-    # expand refuses a class it has no series for, before anything is counted
-    coeffs = expand(cid, args.order + 1)  # coefficients through z^order
+    # a class without a closed form is refused here, before anything is counted
+    coeffs = expand_closed_form(cid, args.order + 1)  # coefficients through z^order
     reference = count_class(cid, args.order)
     rows = [{"n": n, "coefficient": str(c)} for n, c in enumerate(coeffs)]
     _emit_rows(rows, args.format, "{n} {coefficient}".format_map)
@@ -307,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("count", help="counting sequence of an avoidance class")
     sel = p.add_mutually_exclusive_group(required=True)
     sel.add_argument("--class", dest="class_id", metavar="ID")
-    sel.add_argument("--patterns", nargs="+", metavar="PAT")
+    sel.add_argument("--patterns", nargs="+", action="extend", metavar="PAT")
     sel.add_argument(
         "--triple",
         metavar="R1,R2,R3",
@@ -321,7 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("series", help="generating-function coefficients")
     p.add_argument("--class", dest="class_id", required=True, metavar="ID")
     p.add_argument("--order", type=int, required=True)
-    p.add_argument("--source", choices=("closed-form", "catalytic"), default="closed-form")
     p.add_argument("--verify-minpoly", action="store_true")
     _add_format(p, default="b-file")
     p.set_defaults(run=cmd_series)

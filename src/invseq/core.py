@@ -122,9 +122,6 @@ class PatternSet:
     def __iter__(self) -> Iterator[Pattern]:
         return iter(self.patterns)
 
-    def __len__(self) -> int:
-        return len(self.patterns)
-
     def __str__(self) -> str:
         return "(" + ", ".join(sorted(str(p) for p in self.patterns)) + ")"
 
@@ -132,13 +129,6 @@ class PatternSet:
 @dataclass(frozen=True, order=True)
 class InversionSequence:
     values: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __str__(self) -> str:
-        return "(" + ",".join(str(v) for v in self.values) + ")"
-
 
 def reduce_word(word: Sequence[int]) -> Pattern:
     """Relabel entries to 0,1,2,... preserving relative order and equalities."""

@@ -16,9 +16,12 @@ state of the rule's own, which need not encode the whole label census: it
 only has to be closed under the step and give the term, ``counted_total``.
 Each layout family states its state's layout once, in ``_layout``; from it
 ``project`` reads the fast state off a reference census, and the starting
-state is the projection of the root.  A family whose classes share one
-rule states its moves once (``_ResetRule``, ``_CommitmentRule``, the a/b
-moves of the 1176 family), and each class only what is its own.
+state is the projection of the root.  Each reference move is stated
+once: a family states the moves its classes share (the shift-down stays
+of ``_LeftGrownRule``, the a-moves of ``_SingleRunRule``, the depth and tag
+check of ``_TwoGridRule``, the a/b moves of the 1176 family), every
+left-grown jump lands in ``_below(p)``, and each class states only what is
+its own.
 The steppers of 663A, 1420 and the 1176 family keep one list per tag; 733
 and 1833A keep the row sums and the s = 0 column of their (p, s) grid.
 These take O(levels) big-integer additions per step.  The seven grid rules
@@ -314,13 +317,21 @@ class Rule1016(_Rule1176Family):
 
 class _TwoGridRule(SuccessionRule):
     """Right-grown rules labelled (length, h, k) under one of two tags, all
-    counted, with k <= h; the fast state is one grid per tag, whose row h
-    holds k = 0..h, for h = 0..depth."""
+    counted, with k <= h.  ``expand`` checks the length and the tag, and
+    each class states the children of a label in ``_moves(tag, n, h, k)``.
+    The fast state is one grid per tag, whose row h holds k = 0..h, for
+    h = 0..depth."""
 
     tags: str  # the two tag letters; the root carries the first
 
     def root(self) -> Label:
         return Label(self.tags[0], (0, 0, 0))
+
+    def expand(self, label: Label, depth: int) -> Iterator[tuple[Label, int]]:
+        _require_depth(label, depth)
+        if label.tag not in self.tags:
+            raise RuleError(f"unknown tag {label.tag!r}")
+        return self._moves(label.tag, *label.params)
 
     def _layout(self, take, depth: int):
         return tuple(
@@ -339,21 +350,12 @@ class Rule830(_TwoGridRule):
     class_id = ClassId.C830
     tags = "st"
 
-    def expand(self, label: Label, depth: int) -> Iterator[tuple[Label, int]]:
-        _require_depth(label, depth)
-        n, h, k = label.params
+    def _moves(self, tag: str, n: int, h: int, k: int) -> Iterator[tuple[Label, int]]:
         yield Label("s", (n + 1, h, k)), 1
         for i in range(h + 1, n + 1):
             yield Label("s", (n + 1, i, h)), 1
-        if label.tag == "s":
-            if h > 0:
-                for i in range(k + 1, h):
-                    yield Label("t", (n + 1, h, i)), 1
-        elif label.tag == "t":
-            for i in range(k, h):
-                yield Label("t", (n + 1, h, i)), 1
-        else:
-            raise RuleError(f"unknown tag {label.tag!r}")
+        for i in range(k + 1 if tag == "s" else k, h):  # a new premaximum i
+            yield Label("t", (n + 1, h, i)), 1
 
     def step_state(self, state, depth: int):
         # s-children keep (h, k) from both tags.  t-children keep maximum h
@@ -383,17 +385,10 @@ class Rule2106(_TwoGridRule):
     class_id = ClassId.C2106
     tags = "pq"
 
-    def expand(self, label: Label, depth: int) -> Iterator[tuple[Label, int]]:
-        _require_depth(label, depth)
-        n, h, k = label.params
-        if label.tag == "p":
-            for i in range(h, n + 1):
-                yield Label("p", (n + 1, i, k + i - h)), 1
-        elif label.tag == "q":
-            for i in range(h + 1, n + 1):
-                yield Label("p", (n + 1, i, k + i - h - 1)), 1
-        else:
-            raise RuleError(f"unknown tag {label.tag!r}")
+    def _moves(self, tag: str, n: int, h: int, k: int) -> Iterator[tuple[Label, int]]:
+        first = h if tag == "p" else h + 1  # the least new maximum
+        for i in range(first, n + 1):
+            yield Label("p", (n + 1, i, k + i - first)), 1
         for i in range(k):
             yield Label("q", (n + 1, h, i)), 1
 
@@ -423,6 +418,12 @@ class Rule2106(_TwoGridRule):
 def _triangle(take, depth: int) -> list[list[int]]:
     """The labels (p, s) with p + s <= depth, column-major: cols[s][p]."""
     return [[take(Label("", (p, s))) for p in range(depth + 1 - s)] for s in range(depth + 1)]
+
+
+def _below(p: int) -> Iterator[Label]:
+    """The labels (p', k) with p' >= 1 and p' + k <= p: where a jump from
+    row p may land."""
+    return (Label("", (q, k)) for q in range(1, p + 1) for k in range(p + 1 - q))
 
 
 def _suffix_sums(xs: list[int]) -> list[int]:
@@ -474,6 +475,9 @@ class _LeftGrownRule(SuccessionRule):
     """The left-grown rules that keep their whole grid of integer-pair
     labels (p, s): 214, 1509, 1953A, and 759 and 247 as ``_CommitmentRule``.
 
+    A label (p, s) stays as (p + 1, s), and also as (p + 1, s - 1) when
+    s > 0; each class adds its ``_jumps(p, s)``, and 1953A, whose stays fall
+    instead, states its own ``expand``.
     Every label has p + s <= depth, so the fast state is that triangle,
     column-major: state[s][p] for p = 0..depth - s.  ``counted_rows`` and
     ``counted_cols`` bound the counted labels as slice ends, p <
@@ -487,6 +491,13 @@ class _LeftGrownRule(SuccessionRule):
     def root(self) -> Label:
         return Label("", (0, 0))
 
+    def expand(self, label: Label, depth: int) -> Iterator[tuple[Label, int]]:
+        p, s = label.params
+        yield Label("", (p + 1, s)), 1
+        if s > 0:
+            yield Label("", (p + 1, s - 1)), 1
+        yield from self._jumps(p, s)
+
     def _layout(self, take, depth: int):
         return _triangle(take, depth)
 
@@ -498,8 +509,8 @@ class _ResetRule(SuccessionRule):
     """733 and 1833A: labels (p, s), the lengths of the two runs of zeros.
 
     A label (p, s) stays as (p + 1, s), and also as (p + 1, 0) when s > 0;
-    the counted labels, and only they, jump to every (p', k) with p' >= 1
-    and p' + k <= p.  The two classes differ only in which labels count.
+    the counted labels, and only they, jump to every label of ``_below(p)``.
+    The two classes differ only in which labels count.
     The step reads the (p, s) grid only through its row sums r[p] and its
     s = 0 column z[p], and yields both again, so the fast state is the pair
     (r, z); ``counted_vector`` picks the one that sums the counted labels.
@@ -516,9 +527,7 @@ class _ResetRule(SuccessionRule):
         if s > 0:
             yield Label("", (p + 1, 0)), 1
         if self.counted(label):
-            for ell in range(p):
-                for k in range(ell + 1):
-                    yield Label("", (p - ell, k)), 1
+            yield from zip(_below(p), repeat(1))
 
     def _layout(self, take, depth: int):
         cols = _triangle(take, depth)
@@ -566,19 +575,11 @@ class Rule214(_LeftGrownRule):
         p, s = label.params
         return s == 0 and p <= 2
 
-    def expand(self, label: Label, depth: int) -> Iterator[tuple[Label, int]]:
-        p, s = label.params
-        yield Label("", (p + 1, s)), 1
-        if s > 0:
-            yield Label("", (p + 1, s - 1)), 1
-        if s == 0:
-            for ell in range(p):
-                yield Label("", (p - ell, ell)), 1
-            for ell in range(p - 1):
-                yield Label("", (p - ell - 1, ell)), 1
+    def _jumps(self, p: int, s: int) -> Iterator[tuple[Label, int]]:
+        if s == 0:  # to the two outer anti-diagonals p' + k in {p - 1, p}
+            yield from ((child, 1) for child in _below(p) if sum(child.params) >= p - 1)
 
     def step_state(self, state, depth: int):
-        # (p, 0) jumps to the (p', k) with p' >= 1 and p' + k in {p - 1, p}
         return _add_antidiagonals(_shift_down(state), _pair_sums(state[0]))
 
 
@@ -589,20 +590,11 @@ class Rule1509(_LeftGrownRule):
     def counted(self, label: Label) -> bool:
         return label.params[1] <= 1
 
-    def expand(self, label: Label, depth: int) -> Iterator[tuple[Label, int]]:
-        p, s = label.params
-        yield Label("", (p + 1, s)), 1
-        if s > 0:
-            yield Label("", (p + 1, s - 1)), 1
+    def _jumps(self, p: int, s: int) -> Iterator[tuple[Label, int]]:
         if s <= 1:
-            for i in range(p):
-                yield Label("", (p - i, 0)), 1
-            for ell in range(1, p):
-                for k in range(ell):
-                    yield Label("", (p - ell, ell - k)), 1
+            yield from zip(_below(p), repeat(1))
 
     def step_state(self, state, depth: int):
-        # (p, s <= 1) jumps to every (p', k) with p' >= 1 and p' + k <= p
         jumps = _suffix_sums(list(map(sum, zip_longest(*state[:2], fillvalue=0))))
         return _add_antidiagonals(_shift_down(state), jumps)
 
@@ -612,15 +604,13 @@ class Rule1953A(_LeftGrownRule):
 
     def expand(self, label: Label, depth: int) -> Iterator[tuple[Label, int]]:
         p, s = label.params
-        for i in range(s + 1):
-            yield Label("", (p + 1, s - i)), 1
-        for ell in range(1, p + 1):
-            for k in range(ell):
-                yield Label("", (p + 1 - ell, k)), 1
+        for i in range(s + 1):  # the fall: to every (p + 1, s') with s' <= s
+            yield Label("", (p + 1, i)), 1
+        yield from zip(_below(p), repeat(1))
 
     def step_state(self, state, depth: int):
-        # as 1833A: every label jumps to each (p', k) with p' + k <= p, so
-        # by the suffix sums of the row sums, which the fall puts in column 0
+        # as 1833A: every label jumps to all of _below(p), so by the suffix
+        # sums of the row sums, which the fall puts in column 0
         grown = _fall(state)
         return _add_antidiagonals(grown, _suffix_sums(grown[0][1:]))
 
@@ -628,9 +618,9 @@ class Rule1953A(_LeftGrownRule):
 class _CommitmentRule(_LeftGrownRule):
     """759 and 247: (p, c) = leading zeros and remaining commitments.
 
-    A label (p, c) stays as (p + 1, c), and also as (p + 1, c - 1) when
-    c > 0; a label with c = 0 jumps to each (p - l, b) with a nonzero
-    ``multiplicity(l, b)``, the number of admissible commitment words.
+    A label with c = 0 jumps to each (p - l, b) of ``_below(p)`` with a
+    nonzero ``multiplicity(l, b)``, the number of admissible commitment
+    words.
     Summed over l, column b takes C_b times b + 1 rounds of ``next_col``
     applied to column 0, which ``_add_catalan_columns`` adds in one pass.
     """
@@ -639,17 +629,12 @@ class _CommitmentRule(_LeftGrownRule):
     multiplicity: staticmethod
     next_col: staticmethod
 
-    def expand(self, label: Label, depth: int) -> Iterator[tuple[Label, int]]:
-        p, c = label.params
-        yield Label("", (p + 1, c)), 1
-        if c > 0:
-            yield Label("", (p + 1, c - 1)), 1
-        else:
-            for ell in range(p):
-                for b in range(ell + 1):
-                    mult = self.multiplicity(ell, b)
-                    if mult:
-                        yield Label("", (p - ell, b)), mult
+    def _jumps(self, p: int, c: int) -> Iterator[tuple[Label, int]]:
+        if c == 0:
+            for child in _below(p):
+                q, b = child.params
+                if mult := self.multiplicity(p - q, b):
+                    yield child, mult
 
     def step_state(self, state, depth: int):
         return _add_catalan_columns(_shift_down(state), self.next_col(state[0]), self.next_col)
@@ -686,12 +671,26 @@ class Rule247(_CommitmentRule):
 class _SingleRunRule(SuccessionRule):
     """Classes 663A and 1420: labels (p)_a / (p)_b with p the zero prefix.
 
+    An a-label (p) makes a(k) for k = 1..p + 1 and b(l) for l = 1..p - 1 in
+    both classes; each class states the moves of a b-label in ``_b_moves``.
     The fast state is two lists a[p], b[p] of length depth + 1.  A label
     sends mass to a whole range of p, so one suffix sum per step suffices.
     """
 
     def root(self) -> Label:
         return Label("a", (0,))
+
+    def expand(self, label: Label, depth: int) -> Iterator[tuple[Label, int]]:
+        (p,) = label.params
+        if label.tag == "a":
+            for k in range(1, p + 2):
+                yield Label("a", (k,)), 1
+            for ell in range(1, p):
+                yield Label("b", (ell,)), 1
+        elif label.tag == "b":
+            yield from self._b_moves(p)
+        else:
+            raise RuleError(f"unknown tag {label.tag!r}")
 
     def _layout(self, take, depth: int):
         return tuple([take(Label(tag, (p,))) for p in range(depth + 1)] for tag in "ab")
@@ -703,18 +702,9 @@ class Rule663A(_SingleRunRule):
     def counted(self, label: Label) -> bool:
         return label.tag == "a"
 
-    def expand(self, label: Label, depth: int) -> Iterator[tuple[Label, int]]:
-        (p,) = label.params
-        if label.tag == "a":
-            for k in range(1, p + 2):
-                yield Label("a", (k,)), 1
-            for ell in range(1, p):
-                yield Label("b", (ell,)), 1
-        elif label.tag == "b":
-            yield Label("a", (p + 1,)), 1
-            yield Label("b", (p + 1,)), 1
-        else:
-            raise RuleError(f"unknown tag {label.tag!r}")
+    def _b_moves(self, p: int) -> Iterator[tuple[Label, int]]:
+        yield Label("a", (p + 1,)), 1
+        yield Label("b", (p + 1,)), 1
 
     def step_state(self, state, depth: int):
         # new_a[k] = sum_{p >= k-1} a[p] + b[k-1]
@@ -730,21 +720,9 @@ class Rule663A(_SingleRunRule):
 class Rule1420(_SingleRunRule):
     class_id = ClassId.C1420
 
-    def expand(self, label: Label, depth: int) -> Iterator[tuple[Label, int]]:
-        (p,) = label.params
-        if label.tag == "a":
-            for j in range(1, p + 2):
-                yield Label("a", (j,)), 1
-            for j in range(1, p):
-                yield Label("b", (j,)), 1
-        elif label.tag == "b":
-            for j in range(1, p + 2):
-                yield Label("a", (j,)), 1
-            yield Label("b", (p + 1,)), 1
-            for j in range(1, p):
-                yield Label("b", (j,)), 1
-        else:
-            raise RuleError(f"unknown tag {label.tag!r}")
+    def _b_moves(self, p: int) -> Iterator[tuple[Label, int]]:
+        yield from self.expand(Label("a", (p,)), p)  # every move of an a-label
+        yield Label("b", (p + 1,)), 1
 
     def step_state(self, state, depth: int):
         # as 663A, but b-labels also feed the whole a-range:

@@ -7,15 +7,18 @@ division is inexact (see :func:`_div`), and numbers a + b sqrt(5)
 so agreement between two computations is literal equality, not a
 floating-point tolerance.
 
-Three independent routes to the counting series exist for the algebraic
-classes: the generating-tree census (:mod:`invseq.gentree`), the closed
-forms expanded here (:func:`expand_closed_form`), and order-by-order
-iteration of the catalytic functional equations
-(:func:`iterate_catalytic`), which works on plain integer lists in the
-catalytic variable x and divides by (1 - x) only exactly (:func:`_div_1mx`
-raises on a remainder).  The test-suite confirms they coincide.  The
-square-root forms of 1176, 1253 and 1016 and their annihilators come from
-one table, ``QUADRATIC_FORMS``.
+The counting series of the algebraic classes is computed here in two
+ways.  The closed forms (:func:`expand_closed_form`) and the minimal
+polynomials are algebraically independent of the generating-tree census
+(:mod:`invseq.gentree`).  Order-by-order iteration of the catalytic
+functional equations (:func:`iterate_catalytic`) is not: it is a separate
+transcription of the census recurrence.  Its x-coefficient list at z^n is
+the gentree fast state at depth n, list for list, except that the gentree
+lists carry trailing zeros.  It works on plain integer lists and divides
+by (1 - x) only exactly (:func:`_div_1mx` raises on a remainder).  The
+test-suite confirms that all routes coincide.  The square-root forms of
+1176, 1253 and 1016 and their annihilators come from one table,
+``QUADRATIC_FORMS``.
 """
 
 from __future__ import annotations
@@ -469,7 +472,13 @@ CATALYTIC_CLASSES = tuple(_CATALYTIC_SYSTEMS)
 
 
 def iterate_catalytic(class_id: ClassId, order: int) -> list[int]:
-    """Solve the class's catalytic functional-equation system to z^(order-1)."""
+    """Solve the class's catalytic functional-equation system to z^(order-1).
+
+    This re-steps the generating-tree census: the lists at z^n are the
+    class's gentree fast state at depth n without its trailing zeros.  So
+    it checks the transcription of the recurrence, not the recurrence;
+    the closed forms and minimal polynomials are the independent routes.
+    """
     iterate = _CATALYTIC_SYSTEMS.get(class_id)
     if iterate is None:
         raise ValueError(f"no catalytic system for class {class_id.value}")
