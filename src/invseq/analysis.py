@@ -249,9 +249,9 @@ def fit_stretched(counts: list[int], base: float) -> StretchedFit:
     diagnostic fit, not a confirmed functional form.
     """
     n_max = len(counts) - 1
-    if n_max < STRETCHED_N_MIN + 2:
+    if n_max < STRETCHED_N_MIN + 3:  # three unknowns: at least one degree of freedom left
         raise ValueError(
-            f"the stretched fit needs terms up to n = {STRETCHED_N_MIN + 2}, got {n_max}"
+            f"the stretched fit needs terms up to n = {STRETCHED_N_MIN + 3}, got {n_max}"
         )
     ns = range(STRETCHED_N_MIN, n_max + 1)
     ys = [math.log(counts[n]) - n * math.log(base) for n in ns]

@@ -1,8 +1,9 @@
 """Command-line surface tying the enumeration modules together.
 
 Commands: count, series, classify, asymptotics, words, verify-all.
-Output formats: a human-readable table, json-lines (one JSON object per
-row), and the OEIS b-file format ("<index> <value>" per line, no header).
+Output formats: json-lines (one JSON object per row) for every command,
+else the OEIS b-file format ("<index> <value>" per line, no header) for
+count and series and a human-readable table for the rest.
 Exit status is 0 only when every requested verification passed, 1 when
 one failed, and 2 on bad input (a one-line ``error:`` on stderr).
 """
@@ -46,9 +47,6 @@ from .series import (
     kernel_root,
     verify_minimal_polynomial,
 )
-
-FORMATS = ("table", "json-lines", "b-file")
-
 
 def _emit_rows(rows: Iterable[dict], fmt: str, text: Callable[[dict], str]) -> None:
     """Print each row: one JSON object for json-lines, else ``text(row)``."""
@@ -167,8 +165,8 @@ def cmd_words(args) -> int:
     return 0 if row["ok"] else 1
 
 
-# Depths of the verification battery: the defaults of verify-all and the
-# depths of the acceptance tests.  A series order is a number of coefficients.
+# Depths of the verification battery, run by verify-all and by the acceptance
+# tests.  A series order is a number of coefficients.
 ORACLE_DEPTH = 10
 SERIES_ORDER = 61
 WORDS_MAX_K = 9
@@ -179,42 +177,42 @@ IDENTITY_MAX_ELL = 12
 Comparisons = Iterator[tuple[str, object, object]]
 
 
-def check_rules_vs_oracle(n_max: int) -> Comparisons:
+def check_rules_vs_oracle() -> Comparisons:
     for cid in ClassId:
-        counts = count_class(cid, n_max)
-        for n in range(n_max + 1):
+        counts = count_class(cid, ORACLE_DEPTH)
+        for n in range(ORACLE_DEPTH + 1):
             yield f"class {cid.value} n={n}", count_avoiders(n, cid.patterns), counts[n]
 
 
-def check_series_agreement(order: int) -> Comparisons:
+def check_series_agreement() -> Comparisons:
     for cid in CLOSED_FORM_CLASSES:
-        reference = count_class(cid, order - 1)
-        sources = [("closed form", expand_closed_form(cid, order))]
+        reference = count_class(cid, SERIES_ORDER - 1)
+        sources = [("closed form", expand_closed_form(cid, SERIES_ORDER))]
         if cid in CATALYTIC_CLASSES:
-            sources.append(("catalytic", iterate_catalytic(cid, order)))
+            sources.append(("catalytic", iterate_catalytic(cid, SERIES_ORDER)))
         for source, coeffs in sources:
             for n, (want, got) in enumerate(zip_longest(reference, coeffs)):
                 yield f"class {cid.value} {source} n={n}", want, got
 
 
-def check_minimal_polynomials(order: int) -> Comparisons:
+def check_minimal_polynomials() -> Comparisons:
     for cid in MINIMAL_POLYNOMIAL_DEGREE:
-        ok = verify_minimal_polynomial(cid, count_class(cid, order - 1))
+        ok = verify_minimal_polynomial(cid, count_class(cid, SERIES_ORDER - 1))
         yield f"class {cid.value} annihilator", True, ok
 
 
-def check_kernel_roots(order: int) -> Comparisons:
+def check_kernel_roots() -> Comparisons:
     for cid, polys in CUBIC_KERNELS.items():
-        ks = [TruncatedSeries.from_poly(p, order) for p in polys]
-        x = kernel_root(ks, 1, order)
+        ks = [TruncatedSeries.from_poly(p, SERIES_ORDER) for p in polys]
+        x = kernel_root(ks, 1, SERIES_ORDER)
         if cid is ClassId.C1420:
             yield "class 1420 root prefix", [1, 2, 5, 17, 64], x.coeffs[:5]
         nonzero = sum(1 for c in horner(ks, x).coeffs if c)
         yield f"class {cid.value} nonzero residual terms", 0, nonzero
 
 
-def check_words(k_max: int) -> Comparisons:
-    for k in range(1, k_max + 1):
+def check_words() -> Comparisons:
+    for k in range(1, WORDS_MAX_K + 1):
         for b in range(1, k + 1):
             for rules, (forbidden, formula) in WORD_RULESETS.items():
                 constraint = WordConstraint.of(k, b, forbidden, surjective=True)
@@ -237,11 +235,21 @@ def check_classification() -> Comparisons:
         yield f"class {cid.value} vs its Wilf partner", tc.counts[own], tc.counts[other]
 
 
+BATTERY = (
+    ("succession rules vs oracle", check_rules_vs_oracle),
+    ("closed forms vs counts", check_series_agreement),
+    ("minimal polynomials", check_minimal_polynomials),
+    ("kernel roots", check_kernel_roots),
+    ("word formulas", check_words),
+    ("triple classification", check_classification),
+)
+
+
 def _first_failure(results: Comparisons) -> str | None:
     """None if every comparison agrees, else a description of the first that does not.
 
-    The arguments were checked before the run, so an exception raised by a
-    check is a defect of the program and fails that check.
+    The oracle bound was checked before the run, so an exception raised by
+    a check is a defect of the program and fails that check.
     """
     compared = False
     try:
@@ -255,37 +263,21 @@ def _first_failure(results: Comparisons) -> str | None:
 
 
 def cmd_verify_all(args) -> int:
-    limit = oracle_bound()
-    if limit < CLASSIFY_DEPTH:
+    limit, deepest = oracle_bound(), max(ORACLE_DEPTH, WORDS_MAX_K, CLASSIFY_DEPTH)
+    if limit < deepest:
         raise ValueError(
-            f"{BOUND_ENV_VAR}={limit} is below the classification depth {CLASSIFY_DEPTH}"
+            f"{BOUND_ENV_VAR}={limit} is below {deepest}, the battery's deepest exhaustive search"
         )
-    for flag, value, low in (("--n", args.n, 0), ("--max-k", args.max_k, 1)):
-        if not low <= value <= limit:
-            raise ValueError(
-                f"{flag} must be between {low} and the exhaustive-search bound {limit}"
-                f" ({BOUND_ENV_VAR} raises the bound)"
-            )
-    if args.order < 5:
-        raise ValueError("--order must be at least 5")
-    checks = [
-        ("succession rules vs oracle", check_rules_vs_oracle(args.n)),
-        ("closed forms vs counts", check_series_agreement(args.order)),
-        ("minimal polynomials", check_minimal_polynomials(args.order)),
-        ("kernel roots", check_kernel_roots(args.order)),
-        ("word formulas", check_words(args.max_k)),
-        ("triple classification", check_classification()),
-    ]
     failed = False
-    for name, comparisons in checks:
-        failure = _first_failure(comparisons)
+    for name, check in BATTERY:
+        failure = _first_failure(check())
         failed |= failure is not None
         print(f"PASS {name}" if failure is None else f"FAIL {name}: {failure}")
     return 1 if failed else 0
 
 
-def _add_format(p: argparse.ArgumentParser, choices=FORMATS, default="table") -> None:
-    p.add_argument("--format", choices=choices, default=default)
+def _add_format(p: argparse.ArgumentParser, plain: str) -> None:
+    p.add_argument("--format", choices=(plain, "json-lines"), default=plain)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -314,40 +306,35 @@ def build_parser() -> argparse.ArgumentParser:
         '"(-,-,>)" or --triple=-,-,>',
     )
     p.add_argument("--n", type=int, required=True)
-    _add_format(p, default="b-file")
+    _add_format(p, "b-file")
     p.set_defaults(run=cmd_count)
 
     p = sub.add_parser("series", help="generating-function coefficients")
     p.add_argument("--class", dest="class_id", required=True, metavar="ID")
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--verify-minpoly", action="store_true")
-    _add_format(p, default="b-file")
+    _add_format(p, "b-file")
     p.set_defaults(run=cmd_series)
 
     p = sub.add_parser("classify", help="group the 343 relation triples")
     p.add_argument("--max-n", type=int, default=CLASSIFY_DEPTH)
-    _add_format(p, choices=("table", "json-lines"))
+    _add_format(p, "table")
     p.set_defaults(run=cmd_classify)
 
     p = sub.add_parser("asymptotics", help="growth-rate fit of a class")
     p.add_argument("--class", dest="class_id", required=True, metavar="ID")
     p.add_argument("--terms", type=int, default=210)
-    _add_format(p, choices=("table", "json-lines"))
+    _add_format(p, "table")
     p.set_defaults(run=cmd_asymptotics)
 
     p = sub.add_parser("words", help="commitment-word formulas vs enumeration")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--rules", choices=tuple(WORD_RULESETS), required=True)
-    _add_format(p, choices=("table", "json-lines"))
+    _add_format(p, "table")
     p.set_defaults(run=cmd_words)
 
     p = sub.add_parser("verify-all", help="run the full verification battery")
-    p.add_argument("--n", type=int, default=ORACLE_DEPTH, help="rule-vs-oracle depth")
-    p.add_argument(
-        "--order", type=int, default=SERIES_ORDER, help="series order (coefficients)"
-    )
-    p.add_argument("--max-k", type=int, default=WORDS_MAX_K, help="word-length cap")
     p.set_defaults(run=cmd_verify_all)
 
     return parser

@@ -130,6 +130,7 @@ class PatternSet:
 class InversionSequence:
     values: tuple[int, ...]
 
+
 def reduce_word(word: Sequence[int]) -> Pattern:
     """Relabel entries to 0,1,2,... preserving relative order and equalities."""
     ranks = {v: r for r, v in enumerate(sorted(set(word)))}

@@ -2,7 +2,7 @@
 
 Run with ``pytest -v tests/test_acceptance.py`` to see the per-criterion
 verdict lines.  Criteria 1 and 4-8 run the checks of ``invseq verify-all``
-at its default depths; tolerances are pinned in the constants below, and
+at its depths; tolerances are pinned in the constants below, and
 everything else is exact integer or rational arithmetic.
 """
 
@@ -31,7 +31,7 @@ def assert_all_agree(comparisons):
 
 
 def test_criterion_1_rules_match_oracle():
-    assert_all_agree(cli.check_rules_vs_oracle(cli.ORACLE_DEPTH))
+    assert_all_agree(cli.check_rules_vs_oracle())
 
 
 def test_criterion_2_i7_column():
@@ -46,7 +46,7 @@ def test_criterion_3_published_series_prefixes():
 
 
 def test_criterion_4_three_way_series_agreement():
-    assert_all_agree(cli.check_series_agreement(cli.SERIES_ORDER))
+    assert_all_agree(cli.check_series_agreement())
 
 
 def test_criterion_5_minimal_polynomials():
@@ -55,15 +55,15 @@ def test_criterion_5_minimal_polynomials():
         ClassId.C1176: 2, ClassId.C1253: 2, ClassId.C1016: 2,
     }
     assert MINIMAL_POLYNOMIAL_DEGREE == degrees
-    assert_all_agree(cli.check_minimal_polynomials(cli.SERIES_ORDER))
+    assert_all_agree(cli.check_minimal_polynomials())
 
 
 def test_criterion_6_kernel_roots():
-    assert_all_agree(cli.check_kernel_roots(cli.SERIES_ORDER))
+    assert_all_agree(cli.check_kernel_roots())
 
 
 def test_criterion_7_word_lemmas():
-    assert_all_agree(cli.check_words(cli.WORDS_MAX_K))
+    assert_all_agree(cli.check_words())
 
 
 def test_criterion_8_classification():

@@ -204,3 +204,10 @@ class TestStretchedFit:
         a = fit_stretched(counts, 8.0)
         b = fit_stretched(counts, 8.0)
         assert a == b
+
+    def test_leaves_a_degree_of_freedom(self):
+        # three unknowns: terms to n = 52 give three points and a zero residual
+        counts = count_class(ClassId.C247, 53)
+        with pytest.raises(ValueError, match="needs terms up to n = 53, got 52"):
+            fit_stretched(counts[:53], 8.0)
+        assert fit_stretched(counts, 8.0).residual > 0

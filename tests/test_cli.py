@@ -73,10 +73,6 @@ class TestCount:
         _, second = run(capsys, "count", "--class", "214", "--n", "10")
         assert first == second
 
-    def test_table_equals_b_file(self, capsys):
-        argv = ("count", "--patterns", "001", "--n", "6", "--format")
-        assert run(capsys, *argv, "table") == run(capsys, *argv, "b-file")
-
     def test_repeated_patterns_add_up(self, capsys):
         repeated = run(capsys, "count", "--patterns", "000", "001", "--patterns", "012", "--n", "5")
         assert repeated == run(capsys, "count", "--patterns", "000", "001", "012", "--n", "5")
@@ -85,26 +81,20 @@ class TestCount:
 
 class TestSeries:
     def test_verdict_ok(self, capsys):
-        code, lines = run(capsys, "series", "--class", "663A", "--order", "8")
+        argv = ("series", "--class", "663A", "--order", "8", "--verify-minpoly")
+        code, lines = run(capsys, *argv)
         assert code == 0
-        assert lines[-1] == "verdict OK: series matches counts"
-        assert lines[-2] == "8 2552"
+        assert lines[-2:] == [
+            "verdict OK: series matches counts",
+            "verdict OK: annihilator degree 3",
+        ]
+        assert lines[-3] == "8 2552"
 
     def test_verdict_fail(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "count_class", lambda cid, n: [0] * (n + 1))
         code, lines = run(capsys, "series", "--class", "663A", "--order", "8")
         assert code == 1
         assert lines[-1] == "verdict FAIL: series matches counts"
-
-    def test_table_equals_b_file(self, capsys):
-        argv = ("series", "--class", "1016", "--order", "9", "--verify-minpoly", "--format")
-        code, lines = run(capsys, *argv, "table")
-        assert code == 0
-        assert (code, lines) == run(capsys, *argv, "b-file")
-        assert lines[-2:] == [
-            "verdict OK: series matches counts",
-            "verdict OK: annihilator degree 2",
-        ]
 
     def test_verify_minpoly(self, capsys):
         code, lines = run(
@@ -233,6 +223,9 @@ class TestWords:
         ("asymptotics --class 247 --model algebraic", {}),
         ("words --k 3 --b 2 --rules R1R2 --bound 9", {}),
         ("series --class 1420 --order 8 --source catalytic", {}),
+        ("verify-all", {BOUND_ENV_VAR: "9"}),
+        ("count --class 214 --n 3 --format table", {}),
+        ("series --class 1016 --order 3 --format table", {}),
     ],
 )
 def test_bad_input_exits_2_with_one_error_line(command, env, capsys, monkeypatch):
@@ -274,7 +267,7 @@ CLI_OPTIONS = {
     "classify": ["--max-n", "--format"],
     "asymptotics": ["--class", "--terms", "--format"],
     "words": ["--k", "--b", "--rules", "--format"],
-    "verify-all": ["--n", "--order", "--max-k"],
+    "verify-all": [],
 }
 
 
@@ -342,9 +335,7 @@ def test_closed_pipe_exits_quietly():
 
 class TestVerifyAll:
     def test_quick_battery_passes(self, capsys):
-        code, lines = run(
-            capsys, "verify-all", "--n", "5", "--order", "15", "--max-k", "5"
-        )
+        code, lines = run(capsys, "verify-all")
         assert code == 0
         assert len(lines) == 6
         assert all(l.startswith("PASS") for l in lines)
@@ -356,9 +347,7 @@ class TestVerifyAll:
             return count_avoiders(n, patterns, bound) + (n == 4 and patterns == broken)
 
         monkeypatch.setattr(cli, "count_avoiders", off_by_one)
-        code, lines = run(
-            capsys, "verify-all", "--n", "5", "--order", "15", "--max-k", "5"
-        )
+        code, lines = run(capsys, "verify-all")
         assert code == 1
         assert lines[0].startswith("FAIL succession rules vs oracle: class 1420 n=4:")
         assert all(l.startswith("PASS") for l in lines[1:])
@@ -368,11 +357,16 @@ class TestVerifyAll:
             raise ValueError("not a simple root")
 
         monkeypatch.setattr(cli, "kernel_root", broken)
-        code, lines = run(
-            capsys, "verify-all", "--n", "5", "--order", "15", "--max-k", "5"
-        )
+        code, lines = run(capsys, "verify-all")
         assert code == 1
         assert lines[3] == "FAIL kernel roots: raised ValueError: not a simple root"
+        assert sum(l.startswith("PASS") for l in lines) == 5
+
+    def test_check_that_compares_nothing_fails(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "CLOSED_FORM_CLASSES", ())
+        code, lines = run(capsys, "verify-all")
+        assert code == 1
+        assert lines[1] == "FAIL closed forms vs counts: nothing was compared"
         assert sum(l.startswith("PASS") for l in lines) == 5
 
 
@@ -380,7 +374,7 @@ def test_root_prefix_compares_exact_coefficients(monkeypatch):
     # int() would truncate 129/2 to the expected 64
     root = TruncatedSeries([1, 2, 5, 17, Fraction(129, 2)], 5)
     monkeypatch.setattr(cli, "kernel_root", lambda ks, x0, order: root)
-    found = {where: (want, got) for where, want, got in cli.check_kernel_roots(5)}
+    found = {where: (want, got) for where, want, got in cli.check_kernel_roots()}
     want, got = found["class 1420 root prefix"]
     assert want != got
 
