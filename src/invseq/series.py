@@ -5,7 +5,9 @@ Everything here is exact arithmetic: series coefficients are Python
 division is inexact (see :func:`_div`), and numbers a + b sqrt(5)
 (:class:`QSqrt5`) only in the finished roots of :func:`bounded_roots_733`,
 so agreement between two computations is literal equality, not a
-floating-point tolerance.
+floating-point tolerance.  A product reads only each operand's nonzero
+support, so a short polynomial padded to the series order costs its own
+length per coefficient, not the order.
 
 The counting series of the algebraic classes is computed here in two
 ways.  The closed forms (:func:`expand_closed_form`) and the minimal
@@ -89,6 +91,30 @@ def _div(x, d):
     return x / d
 
 
+def _support(cs: list) -> list:
+    """cs without its trailing zeros."""
+    n = len(cs)
+    while n and not cs[n - 1]:
+        n -= 1
+    return cs[:n]
+
+
+def _convolve(a: list, b: list, n: int) -> list:
+    """The product of coefficient lists a and b, up to its first n coefficients.
+
+    Coefficient k sums a_i b_(k-i) over just the i with both indices in
+    range, so a short operand costs only its length per coefficient.  The
+    result stops at len(a) + len(b) - 1 coefficients; past that it is zero.
+    """
+    la, lb = len(a), len(b)
+    rb = b[::-1]  # b_j is rb[lb - 1 - j]
+    out = []
+    for k in range(min(n, la + lb - 1) if la and lb else 0):
+        lo, hi = max(0, k - lb + 1), min(k, la - 1) + 1
+        out.append(sum(map(mul, a[lo:hi], rb[lb - 1 - k + lo : lb - 1 - k + hi])))
+    return out
+
+
 class TruncatedSeries:
     """A power series known modulo z^order, with exact coefficients."""
 
@@ -147,8 +173,8 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return TruncatedSeries([c * other for c in self.coeffs], self.order)
         n = min(self.order, other.order)
-        a, b = self.coeffs, other.coeffs
-        return TruncatedSeries([sum(map(mul, a, b[k::-1])) for k in range(n)], n)
+        a, b = _support(self.coeffs), _support(other.coeffs)
+        return TruncatedSeries(_convolve(a, b, n), n)
 
     __rmul__ = __mul__
 
@@ -156,9 +182,10 @@ class TruncatedSeries:
         c0 = self.coeffs[0]
         if not c0:
             raise ZeroDivisionError("series has no inverse: zero constant term")
-        a, out = self.coeffs, [_div(1, c0)]
+        a, out = _support(self.coeffs), [_div(1, c0)]
         for n in range(1, self.order):
-            out.append(_div(-sum(map(mul, a[n:0:-1], out)), c0))
+            j = min(n, len(a) - 1)  # a_i = 0 for i >= len(a)
+            out.append(_div(-sum(map(mul, a[j:0:-1], out[n - j :])), c0))
         return TruncatedSeries(out, self.order)
 
     def __truediv__(self, other):
@@ -198,11 +225,7 @@ def horner(coeffs: Sequence[TruncatedSeries], x: TruncatedSeries) -> TruncatedSe
 
 def polymul(a: Sequence, b: Sequence) -> list:
     """Full (untruncated) product of coefficient lists."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
+    return _convolve(a, b, len(a) + len(b) - 1)
 
 
 def kernel_root(
@@ -210,22 +233,28 @@ def kernel_root(
 ) -> TruncatedSeries:
     """The power-series root X(z) of K(x, z) = sum_i kernel[i] x^i with X(0) = x0.
 
-    Requires a simple root: dK/dx at (x0, z=0) must be nonzero.  Newton
-    iteration in the series ring converges quadratically, so the residual
-    valuation doubles per step.
+    Requires x0 to be a simple root of K(x, 0): K and dK/dx at (x0, z=0)
+    must be zero and nonzero.  Each Newton step in the series ring doubles
+    the number of correct coefficients, so the steps run at working order
+    2, 4, 8, ... capped at ``order``, on K truncated to that order; one
+    residual at the full order then certifies the result.
     """
     ks = [TruncatedSeries(k.coeffs, order) for k in kernel]
-    x = TruncatedSeries([x0], order)
     deriv = [ks[i] * i for i in range(1, len(ks))]
-    if not horner(deriv, x).coeffs[0]:
+    # series arithmetic keeps the lesser order, so each Horner sum below
+    # is K, or dK/dx, truncated to the order of x
+    x = TruncatedSeries([x0], 1)
+    if not horner(ks, x).is_zero():
+        raise ValueError("x0 is not a root of the kernel at z = 0")
+    if horner(deriv, x).is_zero():
         raise ValueError("not a simple root: derivative vanishes at z=0")
-    for _ in range(order.bit_length() + 2):
-        res = horner(ks, x)
-        if res.is_zero():
-            return x
-        x = x - res / horner(deriv, x)
-    res = horner(ks, x)
-    if not res.is_zero():
+    m = 1
+    while m < order:
+        m = min(2 * m, order)
+        x = TruncatedSeries(x.coeffs, m)
+        x = x - horner(ks, x) / horner(deriv, x)
+    x = TruncatedSeries(x.coeffs, order)  # certify all order coefficients
+    if not horner(ks, x).is_zero():
         raise RuntimeError("kernel root iteration failed to converge")
     return x
 

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from invseq.cli import SERIES_ORDER
 from invseq.gentree import ClassId, count_class
@@ -87,6 +89,48 @@ class TestTruncatedSeries:
         # a float compares equal to its Fraction, so the types are checked too
         assert not any(isinstance(c, float) for c in inv2 + inv1 + root + half)
         assert _all_ints(inv1 + half[:2])
+
+
+@st.composite
+def _series(draw):
+    """A series of int or Fraction coefficients with a random tail of zeros."""
+    coeff = draw(st.sampled_from([st.integers(-9, 9), st.fractions(-3, 3, max_denominator=5)]))
+    head = draw(st.lists(coeff, max_size=8))
+    tail = draw(st.integers(0, 6))
+    return TruncatedSeries(head, max(1, len(head) + tail))
+
+
+class TestProduct:
+    @given(_series(), _series())
+    @example(TruncatedSeries([Fraction(0)], 5), TruncatedSeries([Fraction(1, 2), 3], 7))
+    def test_mul_is_the_defining_sum(self, a, b):
+        n = min(a.order, b.order)
+        want = [sum(a.coeffs[i] * b.coeffs[k - i] for i in range(k + 1)) for k in range(n)]
+        for product in (a * b, b * a):
+            assert product.order == n and product.coeffs == want
+            if a.is_zero() or b.is_zero():  # no work, and no Fraction zeros
+                assert _all_ints(product.coeffs)
+
+
+class TestKernelRoot:
+    @pytest.mark.parametrize("cid", CUBIC_KERNELS, ids=lambda c: c.value)
+    def test_shorter_orders_are_prefixes(self, cid):
+        ks = [TruncatedSeries(p, 122) for p in CUBIC_KERNELS[cid]]
+        full = kernel_root(ks, 1, 122)
+        for m in (1, 2, 3, 5, 61):  # non-powers of two end on a capped step
+            root = kernel_root(ks, 1, m)
+            assert root.order == m and root.coeffs == full.coeffs[:m]
+
+    @pytest.mark.parametrize("cid", CUBIC_KERNELS, ids=lambda c: c.value)
+    def test_x0_must_be_a_root(self, cid):
+        ks = [TruncatedSeries(p, 12) for p in CUBIC_KERNELS[cid]]
+        with pytest.raises(ValueError, match="x0 is not a root of the kernel at z = 0"):
+            kernel_root(ks, 5, 12)
+
+    def test_double_root_refused(self):
+        ks = [TruncatedSeries([c], 8) for c in (1, -2, 1)]  # (x - 1)^2
+        with pytest.raises(ValueError, match="not a simple root"):
+            kernel_root(ks, 1, 8)
 
 
 class TestIntegerCoefficients:
