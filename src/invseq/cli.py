@@ -48,6 +48,7 @@ from .series import (
     verify_minimal_polynomial,
 )
 
+
 def _emit_rows(rows: Iterable[dict], fmt: str, text: Callable[[dict], str]) -> None:
     """Print each row: one JSON object for json-lines, else ``text(row)``."""
     for row in rows:

@@ -13,7 +13,11 @@ of the succession rule used as the reference semantics, and one census
 stepper ``step_state`` using prefix/suffix-sum aggregation so that
 computing a few hundred terms stays cheap.  The stepper runs on a compact
 state of the rule's own, which need not encode the whole label census: it
-only has to be closed under the step and give the term, ``counted_total``.
+only has to be closed under the step and give the term.  A step at depth
+yields the next state together with the term of the depth it leaves;
+``counted_total`` sums the counted labels of a state, and 830, 2106 and
+1953A, which count every label, read the term off the row masses their
+step forms instead of summing their whole grid.
 Each layout family states its state's layout once, in ``_layout``; from it
 ``project`` reads the fast state off a reference census, and the starting
 state is the projection of the root.  Each reference move is stated
@@ -150,10 +154,16 @@ class RuleError(RuntimeError):
 class SuccessionRule:
     """Base: a root, ``expand`` and ``counted`` (every label, unless the rule
     overrides it), and ``step_census``, the reference step on ``{Label:
-    count}`` censuses.  Every rule adds ``step_state`` and ``counted_total``
-    on its own compact state, and its family the layout of that state,
-    ``_layout(take, depth)``: the state at depth, built by asking
-    ``take(label)`` for every cell's count.
+    count}`` censuses.  Every rule adds ``counted_total`` on its own compact
+    state, and its family the layout of that state, ``_layout(take,
+    depth)``: the state at depth, built by asking ``take(label)`` for every
+    cell's count.
+
+    ``step_state(state, depth)`` yields the pair (the state at depth + 1,
+    the counted total of ``state`` at depth).  By default it sums the
+    counted labels with ``counted_total`` and steps with the rule's
+    ``_next_state``; 830, 2106 and 1953A count every label and override it,
+    reading the total off the row masses their step forms anyway.
     """
 
     class_id: ClassId
@@ -188,6 +198,9 @@ class SuccessionRule:
 
     def initial_state(self):
         return self.project({self.root(): 1}, 0)
+
+    def step_state(self, state, depth: int):
+        return self._next_state(state, depth), self.counted_total(state, depth)
 
 
 def _require_depth(label: Label, depth: int) -> None:
@@ -272,7 +285,7 @@ class Rule1176(_Rule1176Family):
             for i in range(k):
                 yield Label("e", (i,)), 1
 
-    def step_state(self, state, depth: int):
+    def _next_state(self, state, depth: int):
         a, b, c, d, e = state
         new_a, new_b = self._step_ab(a, b, depth)
         new_d = [ck + dk for ck, dk in zip(c, d)] + [0]
@@ -292,7 +305,7 @@ class Rule1253(_Rule1176Family):
         else:
             yield Label("e", (k,)), 1
 
-    def step_state(self, state, depth: int):
+    def _next_state(self, state, depth: int):
         a, b, c, d, e = state
         new_a, new_b = self._step_ab(a, b, depth)
         new_c = [bk + ck for bk, ck in zip(b, c)] + [0]
@@ -308,7 +321,7 @@ class Rule1016(_Rule1176Family):
         if tag != "e":  # e-labels are leaves
             yield Label("d", (k,)), 1
 
-    def step_state(self, state, depth: int):
+    def _next_state(self, state, depth: int):
         a, b, c, d, e = state
         new_a, new_b = self._step_ab(a, b, depth)
         new_d = [ck + dk for ck, dk in zip(c, d)] + [0]
@@ -375,7 +388,7 @@ class Rule830(_TwoGridRule):
         for i in range(1, depth + 1):
             row = new_s[i]
             row[:i] = map(add, row, islice(u, i))
-        return (new_s, new_t)
+        return (new_s, new_t), sum(u)
 
 
 class Rule2106(_TwoGridRule):
@@ -403,10 +416,15 @@ class Rule2106(_TwoGridRule):
             row = list(map(add, map(add, [0, *row], row_p), [*row_q, 0]))
             new_p.append(row)
         new_p.append([0] * (depth + 2))
-        # q-children: per maximum h, the mass with a larger k
-        new_q = [_strict_suffix_sums(list(map(add, *rows))) for rows in zip(p, q)]
+        # q-children: per maximum h, the mass with a larger k; the full
+        # suffix sum is the mass of row h
+        new_q, total = [], 0
+        for rows in zip(p, q):
+            suffix = list(accumulate(reversed(list(map(add, *rows))), initial=0))
+            total += suffix[-1]
+            new_q.append(suffix[-2::-1])
         new_q.append([0] * (depth + 2))
-        return (new_p, new_q)
+        return (new_p, new_q), total
 
 
 # ---------------------------------------------------------------------------
@@ -533,7 +551,7 @@ class _ResetRule(SuccessionRule):
         cols = _triangle(take, depth)
         return (list(map(sum, zip_longest(*cols, fillvalue=0))), cols[0])
 
-    def step_state(self, state, depth: int):
+    def _next_state(self, state, depth: int):
         # The stays move row p to row p + 1 with sum 2 r[p] - z[p] and s = 0
         # entry r[p].  With v the suffix sums of the counted vector, the
         # jumps add v[p + k] to each (p, k), p >= 1: v[p] at s = 0 and
@@ -579,7 +597,7 @@ class Rule214(_LeftGrownRule):
         if s == 0:  # to the two outer anti-diagonals p' + k in {p - 1, p}
             yield from ((child, 1) for child in _below(p) if sum(child.params) >= p - 1)
 
-    def step_state(self, state, depth: int):
+    def _next_state(self, state, depth: int):
         return _add_antidiagonals(_shift_down(state), _pair_sums(state[0]))
 
 
@@ -594,7 +612,7 @@ class Rule1509(_LeftGrownRule):
         if s <= 1:
             yield from zip(_below(p), repeat(1))
 
-    def step_state(self, state, depth: int):
+    def _next_state(self, state, depth: int):
         jumps = _suffix_sums(list(map(sum, zip_longest(*state[:2], fillvalue=0))))
         return _add_antidiagonals(_shift_down(state), jumps)
 
@@ -610,9 +628,11 @@ class Rule1953A(_LeftGrownRule):
 
     def step_state(self, state, depth: int):
         # as 1833A: every label jumps to all of _below(p), so by the suffix
-        # sums of the row sums, which the fall puts in column 0
+        # sums of the row sums, which the fall puts in column 0; the first
+        # of them sums every label
         grown = _fall(state)
-        return _add_antidiagonals(grown, _suffix_sums(grown[0][1:]))
+        jumps = _suffix_sums(grown[0][1:])
+        return _add_antidiagonals(grown, jumps), jumps[0]
 
 
 class _CommitmentRule(_LeftGrownRule):
@@ -636,7 +656,7 @@ class _CommitmentRule(_LeftGrownRule):
                 if mult := self.multiplicity(p - q, b):
                     yield child, mult
 
-    def step_state(self, state, depth: int):
+    def _next_state(self, state, depth: int):
         return _add_catalan_columns(_shift_down(state), self.next_col(state[0]), self.next_col)
 
 
@@ -706,7 +726,7 @@ class Rule663A(_SingleRunRule):
         yield Label("a", (p + 1,)), 1
         yield Label("b", (p + 1,)), 1
 
-    def step_state(self, state, depth: int):
+    def _next_state(self, state, depth: int):
         # new_a[k] = sum_{p >= k-1} a[p] + b[k-1]
         # new_b[l] = sum_{p > l} a[p] + b[l-1]
         a, b = state
@@ -724,7 +744,7 @@ class Rule1420(_SingleRunRule):
         yield from self.expand(Label("a", (p,)), p)  # every move of an a-label
         yield Label("b", (p + 1,)), 1
 
-    def step_state(self, state, depth: int):
+    def _next_state(self, state, depth: int):
         # as 663A, but b-labels also feed the whole a-range:
         # new_a[k] = sum_{p >= k-1} (a + b)[p]
         # new_b[l] = sum_{p > l} (a + b)[p] + b[l-1]
@@ -763,7 +783,8 @@ def rule_for(class_id: ClassId) -> SuccessionRule:
 
 # Resumable per-class memo of (state, counts): counting a class to depth n
 # once makes all prefixes free, and extending steps on from the stored
-# state, which is at depth len(counts) - 1.
+# state.  That state is one depth past the last count, at depth
+# len(counts): each step yields the count of the depth it leaves.
 _MEMO: dict[ClassId, tuple[object, list[int]]] = {}
 
 
@@ -773,12 +794,11 @@ def count_class(class_id: ClassId, n_max: int) -> list[int]:
         raise ValueError("n_max must be nonnegative")
     rule = _RULES[class_id]
     if class_id not in _MEMO:
-        state = rule.initial_state()
-        _MEMO[class_id] = (state, [rule.counted_total(state, 0)])
+        _MEMO[class_id] = (rule.initial_state(), [])
     state, counts = _MEMO[class_id]
-    for depth in range(len(counts) - 1, n_max):
-        state = rule.step_state(state, depth)
-        counts.append(rule.counted_total(state, depth + 1))
+    for depth in range(len(counts), n_max + 1):
+        state, count = rule.step_state(state, depth)
+        counts.append(count)
         _MEMO[class_id] = (state, counts)
     return counts[: n_max + 1]
 

@@ -379,10 +379,11 @@ def test_root_prefix_compares_exact_coefficients(monkeypatch):
     assert want != got
 
 
-def test_traced_benchmark_finds_every_entry_point():
+def test_traced_benchmark_finds_every_entry_point(monkeypatch):
     """The benchmark's tracer wraps invseq's entry points by name; a renamed
     one makes install() raise, and uninstall() puts every original back.
-    It also counts one oracle span per n, so the oracle keeps that call shape."""
+    It also counts one oracle span per n, so the oracle keeps that call shape,
+    and sees every step of a class that counts every label."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
     spec = importlib.util.spec_from_file_location("perfbench_spans", path)
     spans = importlib.util.module_from_spec(spec)
@@ -394,8 +395,14 @@ def test_traced_benchmark_finds_every_entry_point():
         gentree.count_class(ClassId.C214, 5)
         for n in range(6):
             oracle.count_avoiders(n, ClassId.C214.patterns)
+        monkeypatch.setattr(gentree, "_MEMO", {})
+        gentree.count_class(ClassId.C830, 5)
     finally:
         tracer.uninstall()
     assert gentree.count_class is original
     assert tracer.spans[0][0] == "gentree.count_class"
     assert [s[0] for s in tracer.spans].count("oracle.count_avoiders") == 6
+    steps_830 = [
+        s[4] for s in tracer.spans if s[0] == "gentree.step_state" and s[4][0] == "830"
+    ]
+    assert steps_830 == [("830", d) for d in range(6)]

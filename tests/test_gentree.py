@@ -49,8 +49,9 @@ class TestPerClass:
         for depth in range(EQUIVALENCE_DEPTH.get(cid, 25) + 1):
             assert fast == rule.project(census, depth), (cid, depth)
             expected = sum(c for l, c in census.items() if rule.counted(l))
-            assert rule.counted_total(fast, depth) == expected, (cid, depth)
-            fast = rule.step_state(fast, depth)
+            total = rule.counted_total(fast, depth)
+            fast, count = rule.step_state(fast, depth)
+            assert count == total == expected, (cid, depth)
             census = rule.step_census(census, depth)
 
     def test_matches_oracle(self, cid):
@@ -67,6 +68,17 @@ class TestPerClass:
         b = count_class(cid, 12)
         assert a == b
         assert all(x <= y for x, y in zip(a, a[1:]))
+
+
+def test_resuming_one_term_at_a_time_equals_counting_cold(monkeypatch):
+    """The memo's state is one depth past its last count; resuming from it
+    term by term gives what one cold count gives."""
+    for cid in ALL_CLASSES:
+        monkeypatch.setattr(gentree, "_MEMO", {})
+        assert count_class(cid, 0) == [1], cid
+        resumed = [count_class(cid, n)[-1] for n in range(41)]
+        monkeypatch.setattr(gentree, "_MEMO", {})
+        assert resumed == count_class(cid, 40), cid
 
 
 @pytest.mark.parametrize(
