@@ -74,11 +74,10 @@ def close_pattern_set(patterns: PatternSet) -> PatternSet:
 
 @dataclass
 class TripleClassification:
-    """Triples grouped by closed pattern set, then by counting sequence."""
+    """Triples grouped by closed pattern set, with each cell's counting sequence."""
 
     pattern_classes: dict[PatternSet, list[RelationTriple]]
     counts: dict[PatternSet, tuple[int, ...]]
-    wilf_classes: dict[tuple[int, ...], list[PatternSet]]
 
     @property
     def n_triples(self) -> int:
@@ -90,7 +89,7 @@ class TripleClassification:
 
     @property
     def n_wilf_classes(self) -> int:
-        return len(self.wilf_classes)
+        return len(set(self.counts.values()))
 
     def cell_of(self, patterns: PatternSet) -> PatternSet:
         """The equivalence cell (canonical closed pattern set) containing
@@ -108,8 +107,8 @@ def classify_triples(n_max: int = CLASSIFY_DEPTH) -> TripleClassification:
     """Group all 343 relation triples by pattern set and counting sequence.
 
     Two triples whose induced pattern sets agree after closure under the
-    implication table have the same avoiders; Wilf classes additionally
-    merge cells whose counting sequences agree up to n_max.
+    implication table have the same avoiders; the Wilf classes are the
+    distinct counting sequences of the cells up to n_max.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
@@ -121,10 +120,7 @@ def classify_triples(n_max: int = CLASSIFY_DEPTH) -> TripleClassification:
         ps: tuple(count_avoiders(n, ps) for n in range(n_max + 1))
         for ps in pattern_classes
     }
-    wilf: dict[tuple[int, ...], list[PatternSet]] = {}
-    for ps, vec in counts.items():
-        wilf.setdefault(vec, []).append(ps)
-    return TripleClassification(pattern_classes, counts, wilf)
+    return TripleClassification(pattern_classes, counts)
 
 
 # ---------------------------------------------------------------------------

@@ -82,11 +82,11 @@ def cmd_series(args) -> int:
     reference = count_class(cid, args.order)
     rows = [{"n": n, "coefficient": str(c)} for n, c in enumerate(coeffs)]
     _emit_rows(rows, args.format, "{n} {coefficient}".format_map)
-    verdicts = [{"check": "series matches counts", "ok": coeffs == reference}]
-    if args.verify_minpoly:
-        degree = MINIMAL_POLYNOMIAL_DEGREE[cid]
-        ok = verify_minimal_polynomial(cid, reference)
-        verdicts.append({"check": f"annihilator degree {degree}", "ok": ok})
+    annihilated = verify_minimal_polynomial(cid, reference)
+    verdicts = [
+        {"check": "series matches counts", "ok": coeffs == reference},
+        {"check": f"annihilator degree {MINIMAL_POLYNOMIAL_DEGREE[cid]}", "ok": annihilated},
+    ]
     _emit_rows(
         verdicts, args.format, lambda v: f"verdict {'OK' if v['ok'] else 'FAIL'}: {v['check']}"
     )
@@ -204,7 +204,7 @@ def check_minimal_polynomials() -> Comparisons:
 
 def check_kernel_roots() -> Comparisons:
     for cid, polys in CUBIC_KERNELS.items():
-        ks = [TruncatedSeries.from_poly(p, SERIES_ORDER) for p in polys]
+        ks = [TruncatedSeries(p, SERIES_ORDER) for p in polys]
         x = kernel_root(ks, 1, SERIES_ORDER)
         if cid is ClassId.C1420:
             yield "class 1420 root prefix", [1, 2, 5, 17, 64], x.coeffs[:5]
@@ -310,10 +310,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format(p, "b-file")
     p.set_defaults(run=cmd_count)
 
-    p = sub.add_parser("series", help="generating-function coefficients")
+    p = sub.add_parser("series", help="coefficients, checked against the counts and the annihilator")
     p.add_argument("--class", dest="class_id", required=True, metavar="ID")
     p.add_argument("--order", type=int, required=True)
-    p.add_argument("--verify-minpoly", action="store_true")
     _add_format(p, "b-file")
     p.set_defaults(run=cmd_series)
 

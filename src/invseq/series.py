@@ -120,10 +120,8 @@ class TruncatedSeries:
 
     __slots__ = ("coeffs", "order")
 
-    def __init__(self, coeffs: Sequence, order: int | None = None):
+    def __init__(self, coeffs: Sequence, order: int):
         cs = list(coeffs)
-        if order is None:
-            order = len(cs)
         if order < 1:
             raise ValueError("order must be at least 1")
         cs = cs[:order] + [0] * (order - len(cs))
@@ -132,7 +130,11 @@ class TruncatedSeries:
 
     @classmethod
     def from_poly(cls, coeffs: Sequence, order: int) -> "TruncatedSeries":
-        """A polynomial in z, viewed as a series to the given order."""
+        """The constructor under a second name.
+
+        Only ``perfbench/workloads.py`` calls it; it goes with the next
+        change to the benchmark.
+        """
         return cls(coeffs, order)
 
     def __eq__(self, other):
@@ -159,9 +161,7 @@ class TruncatedSeries:
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._wrap(other)
-        n = min(self.order, o.order)
-        return TruncatedSeries([self.coeffs[i] - o.coeffs[i] for i in range(n)], n)
+        return self + -self._wrap(other)
 
     def __rsub__(self, other):
         return self._wrap(other) - self
@@ -275,10 +275,9 @@ def hensel_quadratic_factors(
     Returns (e1, e2) = (sum, product) of the bounded roots.
     """
 
-    def coeff(poly, n):
-        return poly[n] if n < len(poly) else 0
-
-    if (coeff(p3, 0), coeff(p2, 0), coeff(p1, 0), coeff(p0, 0)) != (0, 1, -2, 1):
+    kernel = [TruncatedSeries(p, order) for p in (p3, p2, p1, p0)]
+    p3, p2, p1, p0 = (k.coeffs for k in kernel)  # zero-padded to the order
+    if (p3[0], p2[0], p1[0], p0[0]) != (0, 1, -2, 1):
         raise ValueError("quartic does not degenerate to (x - 1)^2 at z = 0")
 
     a, b, c, d = [0], [1], [-2], [1]
@@ -287,28 +286,22 @@ def hensel_quadratic_factors(
         return sum(map(mul, u[1:n], v[n - 1 : 0 : -1]))
 
     for n in range(1, order):
-        an = coeff(p3, n) - (c[n - 2] if n >= 2 else 0)
+        an = p3[n] - (c[n - 2] if n >= 2 else 0)
         a.append(an)
-        bn = coeff(p2, n) - (d[n - 2] if n >= 2 else 0) - mid(a, c, n) + 2 * an
+        bn = p2[n] - (d[n - 2] if n >= 2 else 0) - mid(a, c, n) + 2 * an
         b.append(bn)
-        cn = coeff(p1, n) - an + 2 * bn - mid(a, d, n) - mid(b, c, n)
+        cn = p1[n] - an + 2 * bn - mid(a, d, n) - mid(b, c, n)
         c.append(cn)
-        dn = coeff(p0, n) - bn - mid(b, d, n)
+        dn = p0[n] - bn - mid(b, d, n)
         d.append(dn)
 
     # paranoia: the factorisation must reproduce the quartic
     sa, sb = TruncatedSeries(a, order), TruncatedSeries(b, order)
     sc, sd = TruncatedSeries(c, order), TruncatedSeries(d, order)
-    z2 = TruncatedSeries.from_poly([0, 0, 1], order)
-    checks = [
-        (z2 * sc + sa, p3),
-        (z2 * sd + sa * sc + sb, p2),
-        (sa * sd + sb * sc, p1),
-        (sb * sd, p0),
-    ]
-    for got, want in checks:
-        if got != TruncatedSeries.from_poly(want, order):
-            raise RuntimeError("quadratic factor lifting produced a bad factorisation")
+    z2 = TruncatedSeries([0, 0, 1], order)
+    products = [z2 * sc + sa, z2 * sd + sa * sc + sb, sa * sd + sb * sc, sb * sd]
+    if products != kernel:
+        raise RuntimeError("quadratic factor lifting produced a bad factorisation")
 
     return -sc, sd
 
@@ -368,7 +361,7 @@ def expand_closed_form(class_id: ClassId, order: int) -> list[int]:
     if order < 0:
         raise ValueError(f"order must be nonnegative, got {order}")
     n = order + 2  # headroom for the valuation shifts
-    P = lambda *cs: TruncatedSeries.from_poly(cs, n)
+    P = lambda *cs: TruncatedSeries(cs, n)
     if class_id in QUADRATIC_FORMS:
         p, q, d, R = QUADRATIC_FORMS[class_id]
         v = next(i for i, c in enumerate(d) if c)  # d = z^v (d[v] + ...)
@@ -552,6 +545,6 @@ MINIMAL_POLYNOMIAL_DEGREE = {cid: len(poly) - 1 for cid, poly in MINIMAL_POLYNOM
 
 def verify_minimal_polynomial(class_id: ClassId, coeffs: Sequence) -> bool:
     """Check P(z, F) = 0 mod z^len(coeffs) for the stored annihilator."""
-    f = TruncatedSeries(coeffs)
-    ks = [TruncatedSeries.from_poly(cs, f.order) for cs in MINIMAL_POLYNOMIALS[class_id]]
+    f = TruncatedSeries(coeffs, len(coeffs))
+    ks = [TruncatedSeries(cs, f.order) for cs in MINIMAL_POLYNOMIALS[class_id]]
     return horner(ks, f).is_zero()

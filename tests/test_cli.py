@@ -81,8 +81,7 @@ class TestCount:
 
 class TestSeries:
     def test_verdict_ok(self, capsys):
-        argv = ("series", "--class", "663A", "--order", "8", "--verify-minpoly")
-        code, lines = run(capsys, *argv)
+        code, lines = run(capsys, "series", "--class", "663A", "--order", "8")
         assert code == 0
         assert lines[-2:] == [
             "verdict OK: series matches counts",
@@ -94,13 +93,21 @@ class TestSeries:
         monkeypatch.setattr(cli, "count_class", lambda cid, n: [0] * (n + 1))
         code, lines = run(capsys, "series", "--class", "663A", "--order", "8")
         assert code == 1
-        assert lines[-1] == "verdict FAIL: series matches counts"
+        assert lines[-2:] == [
+            "verdict FAIL: series matches counts",
+            "verdict FAIL: annihilator degree 3",
+        ]
+
+    def test_annihilator_verdict_fail(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "verify_minimal_polynomial", lambda cid, coeffs: False)
+        code, lines = run(capsys, "series", "--class", "663A", "--order", "8")
+        assert code == 1
+        assert lines[-1] == "verdict FAIL: annihilator degree 3"
 
     def test_verify_minpoly(self, capsys):
         code, lines = run(
             capsys,
-            "series", "--class", "1833A", "--order", "10", "--verify-minpoly",
-            "--format", "json-lines",
+            "series", "--class", "1833A", "--order", "10", "--format", "json-lines",
         )
         assert code == 0
         checks = [json.loads(l) for l in lines if '"check"' in l]
@@ -226,6 +233,7 @@ class TestWords:
         ("verify-all", {BOUND_ENV_VAR: "9"}),
         ("count --class 214 --n 3 --format table", {}),
         ("series --class 1016 --order 3 --format table", {}),
+        ("series --class 663A --order 3 --verify-minpoly", {}),
     ],
 )
 def test_bad_input_exits_2_with_one_error_line(command, env, capsys, monkeypatch):
@@ -263,7 +271,7 @@ def test_oracle_bound_error_names_the_variable(command, capsys, monkeypatch):
 # exhaustive-search bound) is not an option; adding one is an edit here.
 CLI_OPTIONS = {
     "count": ["--class", "--patterns", "--triple", "--n", "--format"],
-    "series": ["--class", "--order", "--verify-minpoly", "--format"],
+    "series": ["--class", "--order", "--format"],
     "classify": ["--max-n", "--format"],
     "asymptotics": ["--class", "--terms", "--format"],
     "words": ["--k", "--b", "--rules", "--format"],
@@ -290,6 +298,27 @@ def test_readme_usage_lines_parse():
     parser = cli.build_parser()
     commands = {parser.parse_args(shlex.split(l, comments=True)[1:]).command for l in lines}
     assert commands == set(CLI_OPTIONS)
+
+
+def test_readme_module_entry_points_exist():
+    """Every backticked Python name in the README's module list belongs to its module."""
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text()
+    section = readme.split("## Modules\n", 1)[1].split("\n## ", 1)[0]
+    bullets = re.findall(r"^- \*\*`invseq\.(\w+)`\*\*(.*?)(?=^- |\Z)", section, re.M | re.S)
+    pyproject = (root / "pyproject.toml").read_text()
+    script = re.search(r"^\[project\.scripts\]\n(\w+) =", pyproject, re.M)
+    # two names are not attributes: the oracle's variable and the command itself
+    named = {"INVSEQ_ORACLE_BOUND": oracle.BOUND_ENV_VAR, "invseq": script.group(1)}
+    modules = {p.stem for p in (root / "src" / "invseq").glob("*.py") if not p.stem.startswith("_")}
+    assert sorted(m for m, _ in bullets) == sorted(modules)
+    for module, text in bullets:
+        mod = importlib.import_module(f"invseq.{module}")
+        for name in re.findall(r"`([^`]+)`", text):
+            if name in named:
+                assert named[name] == name
+            elif name.isidentifier():
+                assert hasattr(mod, name), (module, name)
 
 
 def test_negative_series_order_names_the_option(capsys):

@@ -10,6 +10,7 @@ from invseq.series import (
     CATALYTIC_CLASSES,
     CLOSED_FORM_CLASSES,
     CUBIC_KERNELS,
+    MINIMAL_POLYNOMIALS,
     QSqrt5,
     QUARTIC_KERNELS,
     TruncatedSeries,
@@ -54,17 +55,17 @@ def _all_ints(coeffs):
 
 class TestTruncatedSeries:
     def test_geometric_inverse(self):
-        one_minus_z = TruncatedSeries.from_poly([1, -1], 8)
+        one_minus_z = TruncatedSeries([1, -1], 8)
         inv = one_minus_z.inverse()
         assert inv.coeffs == [1] * 8
 
     def test_division_and_shift(self):
-        z2 = TruncatedSeries.from_poly([0, 0, 3], 8)
+        z2 = TruncatedSeries([0, 0, 3], 8)
         assert z2.shift(-2).coeffs[0] == 3
         assert z2.shift(-2).shift(2).coeffs == z2.coeffs[:8]
 
     def test_sqrt(self):
-        sq = TruncatedSeries.from_poly([1, 2, 1], 10).sqrt()
+        sq = TruncatedSeries([1, 2, 1], 10).sqrt()
         assert sq.coeffs[:3] == [1, 1, 0]
 
     def test_sqrt_needs_constant_term_one(self):
@@ -72,7 +73,7 @@ class TestTruncatedSeries:
             TruncatedSeries([4, 1], 5).sqrt()
 
     def test_mul_truncates(self):
-        a = TruncatedSeries.from_poly([1, 1], 4)
+        a = TruncatedSeries([1, 1], 4)
         b = a * a
         assert b.order == 4
         assert b.coeffs == [1, 2, 1, 0]
@@ -111,6 +112,22 @@ class TestProduct:
             if a.is_zero() or b.is_zero():  # no work, and no Fraction zeros
                 assert _all_ints(product.coeffs)
 
+    @given(_series(), _series())
+    @example(TruncatedSeries([Fraction(1, 2)], 3), TruncatedSeries([1, 2, 3, 4], 6))
+    def test_sub_is_the_elementwise_difference(self, a, b):
+        def scalar(k, order):
+            return [k] + [0] * (order - 1)
+
+        cases = [
+            (a - b, a.coeffs, b.coeffs),
+            (a - 3, a.coeffs, scalar(3, a.order)),
+            (1 - a, scalar(1, a.order), a.coeffs),
+        ]
+        for got, xs, ys in cases:
+            want = [x - y for x, y in zip(xs, ys)]  # to the lesser order
+            assert got.order == len(want) and got.coeffs == want
+            assert [type(c) for c in got.coeffs] == [type(c) for c in want]
+
 
 class TestKernelRoot:
     @pytest.mark.parametrize("cid", CUBIC_KERNELS, ids=lambda c: c.value)
@@ -146,7 +163,7 @@ class TestIntegerCoefficients:
 
     @pytest.mark.parametrize("cid", CUBIC_KERNELS, ids=lambda c: c.value)
     def test_kernel_root(self, cid):
-        ks = [TruncatedSeries.from_poly(p, SERIES_ORDER) for p in CUBIC_KERNELS[cid]]
+        ks = [TruncatedSeries(p, SERIES_ORDER) for p in CUBIC_KERNELS[cid]]
         assert _all_ints(kernel_root(ks, 1, SERIES_ORDER).coeffs)
 
     @pytest.mark.parametrize("cid", QUARTIC_KERNELS, ids=lambda c: c.value)
@@ -190,6 +207,10 @@ class TestMinimalPolynomials:
         bad = count_class(ClassId.C663A, 60)
         bad[30] += 1
         assert not verify_minimal_polynomial(ClassId.C663A, bad)
+
+    def test_every_closed_form_has_an_annihilator(self):
+        # invseq series looks up the annihilator of every class with a closed form
+        assert set(CLOSED_FORM_CLASSES) == set(MINIMAL_POLYNOMIALS)
 
 
 class TestQuarticFactorisation:
