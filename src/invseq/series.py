@@ -2,12 +2,12 @@
 
 Everything here is exact arithmetic: series coefficients are Python
 ``int`` wherever they are integral, ``fractions.Fraction`` only where a
-division is inexact (see :func:`_div`), and numbers a + b sqrt(5)
-(:class:`QSqrt5`) only in the finished roots of :func:`bounded_roots_733`,
-so agreement between two computations is literal equality, not a
-floating-point tolerance.  A product reads only each operand's nonzero
-support, so a short polynomial padded to the series order costs its own
-length per coefficient, not the order.
+division is inexact (see :func:`_div`), and numbers (A + B sqrt(5))/D
+with integer A, B, D (:class:`QSqrt5`) only in the finished roots of
+:func:`bounded_roots_733`, so agreement between two computations is
+literal equality, not a floating-point tolerance.  A product reads only
+each operand's nonzero support, so a short polynomial padded to the
+series order costs its own length per coefficient, not the order.
 
 The counting series of the algebraic classes is computed here in two
 ways.  The closed forms (:func:`expand_closed_form`) and the minimal
@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate, zip_longest
+from math import lcm
 from operator import mul
 from typing import Sequence
 
@@ -34,31 +35,43 @@ from .gentree import ClassId
 
 
 class QSqrt5:
-    """A number a + b*sqrt(5) with rational a, b kept as given.
+    """A number (A + B*sqrt(5)) / D with integers A, B and D > 0, never reduced.
 
-    Only the ring operations the bounded roots of 733 meet: sums and
-    products of roots, compared with rational series.
+    Only the ring operations the bounded roots of 733 meet: sums and products
+    of roots, compared with rational series.  The roots have D = 2 and their
+    sums and products D = 2 or 4, so a gcd per operation would cost more than
+    it saves.  ``==`` cross-multiplies; ``a`` and ``b`` read A/D and B/D reduced.
     """
 
-    __slots__ = ("a", "b")
+    __slots__ = ("A", "B", "D")
 
     def __init__(self, a=0, b=0):
-        self.a = a
-        self.b = b
+        d = lcm(a.denominator, b.denominator)  # a, b: int or Fraction
+        self.A, self.B, self.D = (a * d).numerator, (b * d).numerator, d
+
+    @staticmethod
+    def _raw(A: int, B: int, D: int) -> "QSqrt5":
+        x = object.__new__(QSqrt5)
+        x.A, x.B, x.D = A, B, D
+        return x
+
+    a = property(lambda self: _div(self.A, self.D))
+    b = property(lambda self: _div(self.B, self.D))
 
     @staticmethod
     def _coerce(x) -> "QSqrt5":
-        if isinstance(x, QSqrt5):
-            return x
         if isinstance(x, (int, Fraction)):
             return QSqrt5(x)
-        return NotImplemented
+        return x if isinstance(x, QSqrt5) else NotImplemented
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return QSqrt5(self.a + o.a, self.b + o.b)
+        if self.D == o.D:
+            return QSqrt5._raw(self.A + o.A, self.B + o.B, self.D)
+        D = self.D * o.D
+        return QSqrt5._raw(self.A * o.D + o.A * self.D, self.B * o.D + o.B * self.D, D)
 
     __radd__ = __add__
 
@@ -66,7 +79,8 @@ class QSqrt5:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return QSqrt5(self.a * o.a + 5 * self.b * o.b, self.a * o.b + self.b * o.a)
+        A, B = self.A * o.A + 5 * self.B * o.B, self.A * o.B + self.B * o.A
+        return QSqrt5._raw(A, B, self.D * o.D)
 
     __rmul__ = __mul__
 
@@ -74,10 +88,10 @@ class QSqrt5:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return self.a == o.a and self.b == o.b
+        return self.A * o.D == o.A * self.D and self.B * o.D == o.B * self.D
 
     def __bool__(self):
-        return bool(self.a) or bool(self.b)
+        return bool(self.A or self.B)
 
     def __repr__(self):
         return f"QSqrt5({self.a}, {self.b})"
@@ -197,6 +211,8 @@ class TruncatedSeries:
         """Multiply by z^k; negative k requires the low coefficients to vanish."""
         if k >= 0:
             return TruncatedSeries([0] * k + self.coeffs, self.order + k)
+        if -k >= self.order:
+            raise ValueError(f"cannot shift by {k}: the series has only {self.order} coefficients")
         if any(self.coeffs[i] for i in range(-k)):
             raise ValueError(f"cannot shift by {k}: low-order coefficients nonzero")
         return TruncatedSeries(self.coeffs[-k:], self.order + k)
@@ -334,9 +350,8 @@ def bounded_roots_733(order: int) -> tuple[TruncatedSeries, TruncatedSeries]:
     if u.coeffs[0] != 5:
         raise RuntimeError("discriminant/z^2 should have constant term 5")
     zs = [0, *(u / 5).sqrt().coeffs]  # z s: the sqrt(5) part of z sqrt(u)
-    halves = [(Fraction(e, 2), Fraction(r, 2)) for e, r in zip(e1.coeffs[:order], zs)]
-    x1 = TruncatedSeries([QSqrt5(a, b) for a, b in halves], order)
-    x3 = TruncatedSeries([QSqrt5(a, -b) for a, b in halves], order)
+    x1 = TruncatedSeries([QSqrt5._raw(e, r, 2) for e, r in zip(e1.coeffs, zs)], order)
+    x3 = TruncatedSeries([QSqrt5._raw(e, -r, 2) for e, r in zip(e1.coeffs, zs)], order)
     return x1, x3
 
 

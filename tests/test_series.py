@@ -48,6 +48,28 @@ class TestQSqrt5:
         assert sqrt5 * sqrt5 == QSqrt5(5)
         assert type((sqrt5 * sqrt5).a) is int
 
+    def test_equal_across_denominators(self):
+        # (1/2) * 2 is held as 2/2, which equals 1/1
+        assert QSqrt5(Fraction(1, 2)) * 2 == QSqrt5(1) == 1
+        assert QSqrt5(Fraction(1, 2)) * 2 != QSqrt5(2)
+        assert QSqrt5(Fraction(1, 2), 1) != QSqrt5(Fraction(1, 2), Fraction(1, 3))
+
+    def test_sum_of_different_denominators(self):
+        half, third = QSqrt5(Fraction(1, 2), 1), QSqrt5(Fraction(1, 3), Fraction(-1, 3))
+        assert half + third == QSqrt5(Fraction(5, 6), Fraction(2, 3))
+
+    def test_reads_are_reduced(self):
+        # golden-ratio conjugates: (1 + r)/2 * (1 - r)/2 = (1 - 5)/4, held as -4/4
+        p = QSqrt5(Fraction(1, 2), Fraction(1, 2)) * QSqrt5(Fraction(1, 2), Fraction(-1, 2))
+        assert p.a == -1 and type(p.a) is int
+        assert p.b == 0 and type(p.b) is int
+        assert (self.x.a, self.x.b) == (Fraction(1, 2), Fraction(-3, 4))
+
+    def test_repr_and_truth(self):
+        assert repr(self.x) == "QSqrt5(1/2, -3/4)"
+        assert repr(QSqrt5(Fraction(1, 2)) * 2) == "QSqrt5(1, 0)"
+        assert not QSqrt5(Fraction(1, 2), 1) * 0 and QSqrt5(Fraction(1, 2)) * 2
+
 
 def _all_ints(coeffs):
     return all(type(c) is int for c in coeffs)
@@ -63,6 +85,11 @@ class TestTruncatedSeries:
         z2 = TruncatedSeries([0, 0, 3], 8)
         assert z2.shift(-2).coeffs[0] == 3
         assert z2.shift(-2).shift(2).coeffs == z2.coeffs[:8]
+
+    @pytest.mark.parametrize("k", [-2, -3])
+    def test_shift_past_the_order_is_refused(self, k):
+        with pytest.raises(ValueError, match=f"cannot shift by {k}: the series has only 2"):
+            TruncatedSeries([0, 0], 2).shift(k)
 
     def test_sqrt(self):
         sq = TruncatedSeries([1, 2, 1], 10).sqrt()
@@ -227,11 +254,13 @@ class TestQuarticFactorisation:
         assert e2.coeffs[0] == 1
 
     def test_733_roots_in_sqrt5_extension(self):
-        order = 25
+        order = 120  # the verify benchmark's bounded_roots.733 order
         x1, x3 = bounded_roots_733(order)
         e1, e2 = hensel_quadratic_factors(*QUARTIC_KERNELS[ClassId.C733], order)
         s = x1 + x3
         p = x1 * x3
+        for c in x1.coeffs + x3.coeffs + s.coeffs + p.coeffs:
+            assert type(c.A) is int and type(c.B) is int and type(c.D) is int
         assert all(c.b == 0 for c in s.coeffs)
         assert all(c.b == 0 for c in p.coeffs)
         assert [c.a for c in s.coeffs] == e1.coeffs[: s.order]
