@@ -19,27 +19,23 @@ yields the next state together with the term of the depth it leaves;
 1953A, which count every label, read the term off the row masses their
 step forms instead of summing their whole grid.
 Each layout family states its state's layout once, in ``_layout``; from it
-``project`` reads the fast state off a reference census, and the starting
-state is the projection of the root.  Each reference move is stated
-once: a family states the moves its classes share (the shift-down stays
-of ``_LeftGrownRule``, the a-moves of ``_SingleRunRule``, the depth and tag
+``project`` reads the fast state off the reference censuses, and the
+starting state is the projection of the root.  Each reference move is stated
+once: a family states the moves its classes share (the stays of
+``_LeftGrownRule``, the a-moves of ``_SingleRunRule``, the depth and tag
 check of ``_TwoGridRule``, the a/b moves of the 1176 family), every
 left-grown jump lands in ``_below(p)``, and each class states only what is
 its own.
 The steppers of 663A, 1420 and the 1176 family keep one list per tag; 733
 and 1833A keep the row sums and the s = 0 column of their (p, s) grid.
 These take O(levels) big-integer additions per step.  The seven grid rules
-take O(levels^2) and store only the labels they can reach.  A left-grown
-grid is the triangle p + s <= depth, stored column-major, and its step is
-whole-column list operations from a few shared helpers: a "stay" moves
-every label one row down (shift down: column s plus column s + 1; fall: a
-running sum across the columns), then the jumps add either along
-anti-diagonals or as Catalan-weighted columns.  830 and 2106 keep ragged
-rows, row h holding k = 0..h, and build each new row from prefix sums and
-the row before it.  ``label_census`` runs the reference expansion through
-``step_census``.  The test-suite checks that every fast state is the
-projection of the reference census, and that both agree with the
-brute-force oracle.
+take O(levels^2), in whole-column list operations: 1953A on the triangle
+p + s <= depth, 214, 1509, 759 and 247 on the part of it that can still
+reach their counted columns (about half; see ``_LeftGrownRule``), and 830
+and 2106 on ragged rows, row h holding k = 0..h.  ``label_census`` runs the
+reference expansion through ``step_census``.  The test-suite checks that
+every fast state is the projection of the reference censuses, and that
+both agree with the brute-force oracle.
 
 Label conventions: right-grown rules track statistics of the sequence end
 (``a``/``b``/``c``/``d``/``e`` progression for the 1176 family,
@@ -53,12 +49,13 @@ leading runs of zeros (p, s) or the prefix plus remaining commitments
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from functools import cache
 from itertools import accumulate, islice, repeat, zip_longest
 from operator import add, mul
 from typing import Iterator, NamedTuple
 
-from .combinat import multiplicity_m, multiplicity_w
+from .combinat import catalan, multiplicity_m, multiplicity_w
 from .core import PatternSet, RelationTriple, triple_to_pattern_set
 
 
@@ -152,24 +149,25 @@ class RuleError(RuntimeError):
 
 
 class SuccessionRule:
-    """Base: a root, ``expand`` and ``counted`` (every label, unless the rule
-    overrides it), and ``step_census``, the reference step on ``{Label:
-    count}`` censuses.  Every rule adds ``counted_total`` on its own compact
-    state, and its family the layout of that state, ``_layout(take,
-    depth)``: the state at depth, built by asking ``take(label)`` for every
-    cell's count.
+    """Base: ``root`` and ``counted`` (the label (0, 0) and every label,
+    unless the rule overrides them), ``expand``, and ``step_census``, the
+    reference step on ``{Label: count}`` censuses.  Every rule adds
+    ``counted_total`` on its own compact state, and its family the layout of
+    that state, ``_layout(take, depth)``: the state at depth, built by asking
+    ``take(label, at)`` for every cell's count at depth ``at`` (by default,
+    depth).
 
     ``step_state(state, depth)`` yields the pair (the state at depth + 1,
     the counted total of ``state`` at depth).  By default it sums the
     counted labels with ``counted_total`` and steps with the rule's
-    ``_next_state``; 830, 2106 and 1953A count every label and override it,
-    reading the total off the row masses their step forms anyway.
+    ``_next_state``; the left-grown rules, 830, 2106 and 1953A override it,
+    the last three reading the total off the row masses their step forms.
     """
 
     class_id: ClassId
 
     def root(self) -> Label:
-        raise NotImplementedError
+        return Label("", (0, 0))  # the (p, s) rules keep it
 
     def expand(self, label: Label, depth: int) -> Iterator[tuple[Label, int]]:
         raise NotImplementedError
@@ -186,18 +184,27 @@ class SuccessionRule:
                 new[child] = new.get(child, 0) + cnt * mult
         return new
 
-    def project(self, census: dict[Label, int], depth: int):
-        """The fast state at depth holding the counts of a census; a label
-        outside the layout is a RuleError."""
-        left = dict(census)
-        state = self._layout(lambda label: left.pop(label, 0), depth)
-        if left:
-            outside = ", ".join(map(str, left))
+    def project(self, censuses: list[dict[Label, int]]):
+        """The fast state at depth = len(censuses) - 1 off the reference
+        censuses of depths 0..depth; a label at the depth where the layout
+        holds it, ``_held_at``, but without a cell there is a RuleError."""
+        depth, read = len(censuses) - 1, set()
+
+        def take(label: Label, at: int = depth) -> int:
+            read.add((at, label))
+            return censuses[at].get(label, 0)
+
+        state = self._layout(take, depth)
+        labels = {(at, l) for at, census in enumerate(censuses) for l in census}
+        if outside := ", ".join(str(l) for at, l in labels - read if self._held_at(l, depth) == at):
             raise RuleError(f"{self.class_id.value}: outside the depth-{depth} layout: {outside}")
         return state
 
+    def _held_at(self, label: Label, depth: int) -> int:
+        return depth
+
     def initial_state(self):
-        return self.project({self.root(): 1}, 0)
+        return self.project([{self.root(): 1}])
 
     def step_state(self, state, depth: int):
         return self._next_state(state, depth), self.counted_total(state, depth)
@@ -454,11 +461,6 @@ def _pair_sums(xs: list[int]) -> list[int]:
     return list(map(add, xs, xs[1:] + [0]))
 
 
-def _shift_down(cols: list[list[int]]) -> list[list[int]]:
-    """(p, s) -> (p + 1, s), and also (p + 1, s - 1) when s > 0."""
-    return [*([0, *map(add, c, nxt), c[-1]] for c, nxt in zip(cols, [*cols[1:], []])), [0]]
-
-
 def _fall(cols: list[list[int]]) -> list[list[int]]:
     """(p, s) -> (p + 1, s') for every s' <= s; the new column 0 is zero
     followed by the row sums."""
@@ -476,38 +478,25 @@ def _add_antidiagonals(cols: list[list[int]], v: list[int]) -> list[list[int]]:
     return cols
 
 
-def _add_catalan_columns(cols: list[list[int]], col: list[int], next_col) -> list[list[int]]:
-    """cols[b][p] += C_b * col_b[p] for every p >= 1, where C_b is the b-th
-    Catalan number, col_0 = col and col_{b+1} = next_col(col_b[1:])."""
-    b, cb = 0, 1
-    while len(col) > 1:
-        jumps = map(mul, islice(col, 1, None), repeat(cb))
-        cols[b][1 : len(col)] = map(add, islice(cols[b], 1, None), jumps)
-        cb = cb * 2 * (2 * b + 1) // (b + 2)
-        b += 1
-        col = next_col(col[1:])
-    return cols
-
-
 class _LeftGrownRule(SuccessionRule):
-    """The left-grown rules that keep their whole grid of integer-pair
-    labels (p, s): 214, 1509, 1953A, and 759 and 247 as ``_CommitmentRule``.
-
-    A label (p, s) stays as (p + 1, s), and also as (p + 1, s - 1) when
-    s > 0; each class adds its ``_jumps(p, s)``, and 1953A, whose stays fall
-    instead, states its own ``expand``.
-    Every label has p + s <= depth, so the fast state is that triangle,
-    column-major: state[s][p] for p = 0..depth - s.  ``counted_rows`` and
-    ``counted_cols`` bound the counted labels as slice ends, p <
-    counted_rows and s < counted_cols (None: no bound); ``counted`` is the
-    reference.
+    """214, 1509, and 759 and 247 as ``_CommitmentRule``: left-grown labels
+    (p, s) that stay as (p + 1, s), and also as (p + 1, s - 1) when s > 0,
+    and, when s < ``counted_cols``, add the class's ``_jumps(p, s)`` to rows
+    at most p.  The counted labels have s < counted_cols, p < counted_rows.
+    Column s reaches a counted column lag(s) = max(0, s - counted_cols + 1)
+    steps later, so the fast state at depth d holds it at its own depth
+    d - lag(s), cols[s][p] for p = 0..d - lag(s) - s, with pending[s][p - 1]
+    the jump mass it takes into row p at its next step.  The step advances
+    the columns from the top down, each by its stays, those of the column
+    above at its own depth and its pending jumps; then each pending vector
+    moves up a column as ``next_col`` of it less its first entry, and the
+    ``_jump_source`` of the new counted columns enters below them.
     """
 
     counted_rows: int | None = None
-    counted_cols: int | None = None
-
-    def root(self) -> Label:
-        return Label("", (0, 0))
+    counted_cols: int
+    next_col = staticmethod(lambda v: v)  # 214 and 1509: a jump vector only shifts,
+    _weight = staticmethod(lambda s: 1)  # and column s takes it as it is
 
     def expand(self, label: Label, depth: int) -> Iterator[tuple[Label, int]]:
         p, s = label.params
@@ -516,11 +505,46 @@ class _LeftGrownRule(SuccessionRule):
             yield Label("", (p + 1, s - 1)), 1
         yield from self._jumps(p, s)
 
+    def _lag(self, s: int) -> int:
+        return max(0, s - self.counted_cols + 1)
+
+    def _held_at(self, label: Label, depth: int) -> int:
+        return depth - self._lag(label.params[1])
+
     def _layout(self, take, depth: int):
-        return _triangle(take, depth)
+        cols, pending = [], []
+        for s in range(depth + 1):
+            if (at := depth - self._lag(s)) < s:
+                break
+            jumps = Counter()  # the children of expand in rows at most the parent's
+            for p, c in ((p, c) for c in range(self.counted_cols) for p in range(at + 1 - c)):
+                for child, mult in self.expand(Label("", (p, c)), at):
+                    if child.params[0] <= p:  # a jump: a stay raises the row
+                        jumps[child] += take(Label("", (p, c)), at) * mult
+            cols.append([take(Label("", (p, s)), at) for p in range(at - s + 1)])
+            pending.append(
+                [jumps[Label("", (p, s))] // self._weight(s) for p in range(1, at - s + 1)]
+            )
+        return cols, pending
 
     def counted_total(self, state, depth: int) -> int:
-        return sum(sum(islice(col, self.counted_rows)) for col in state[: self.counted_cols])
+        return sum(sum(islice(col, self.counted_rows)) for col in state[0][: self.counted_cols])
+
+    def step_state(self, state, depth: int):
+        cols, pending = state
+        if len(cols) + self._lag(len(cols)) <= depth + 1:  # a column enters at its own depth
+            cols, pending = [*cols, []], [*pending, []]
+        new_cols, above = [], []
+        for s, col in reversed(list(enumerate(cols))):  # above, pending[s]: one shorter than col
+            jumps = pending[s] if (w := self._weight(s)) == 1 else map(mul, pending[s], repeat(w))
+            new_cols.append([0, *map(add, map(add, col, above), jumps), *col[-1:]])
+            above = new_cols[-1] if s >= self.counted_cols else col
+        new_cols.reverse()
+        new_pending = [self._jump_source(new_cols)]
+        for s in range(1, len(new_cols)):
+            moving = new_pending[-1] if s < self.counted_cols else pending[s - 1]
+            new_pending.append(self.next_col(moving[1:]))
+        return (new_cols, new_pending), self.counted_total(state, depth)
 
 
 class _ResetRule(SuccessionRule):
@@ -535,9 +559,6 @@ class _ResetRule(SuccessionRule):
     """
 
     counted_vector: int  # 0: r, every label counted; 1: z, those with s = 0
-
-    def root(self) -> Label:
-        return Label("", (0, 0))
 
     def expand(self, label: Label, depth: int) -> Iterator[tuple[Label, int]]:
         p, s = label.params
@@ -597,8 +618,8 @@ class Rule214(_LeftGrownRule):
         if s == 0:  # to the two outer anti-diagonals p' + k in {p - 1, p}
             yield from ((child, 1) for child in _below(p) if sum(child.params) >= p - 1)
 
-    def _next_state(self, state, depth: int):
-        return _add_antidiagonals(_shift_down(state), _pair_sums(state[0]))
+    def _jump_source(self, cols: list[list[int]]) -> list[int]:
+        return _pair_sums(cols[0])[1:]  # (p, 0) jumps to q + k in {p - 1, p}
 
 
 class Rule1509(_LeftGrownRule):
@@ -612,12 +633,14 @@ class Rule1509(_LeftGrownRule):
         if s <= 1:
             yield from zip(_below(p), repeat(1))
 
-    def _next_state(self, state, depth: int):
-        jumps = _suffix_sums(list(map(sum, zip_longest(*state[:2], fillvalue=0))))
-        return _add_antidiagonals(_shift_down(state), jumps)
+    def _jump_source(self, cols: list[list[int]]) -> list[int]:
+        # (q, k) takes every (p, s <= 1) with p >= q + k
+        return _suffix_sums(list(map(sum, zip_longest(*cols[:2], fillvalue=0))))[1:]
 
 
-class Rule1953A(_LeftGrownRule):
+class Rule1953A(SuccessionRule):
+    """Left-grown labels (p, s), all counted: the fast state is the triangle."""
+
     class_id = ClassId.C1953A
 
     def expand(self, label: Label, depth: int) -> Iterator[tuple[Label, int]]:
@@ -634,20 +657,26 @@ class Rule1953A(_LeftGrownRule):
         jumps = _suffix_sums(grown[0][1:])
         return _add_antidiagonals(grown, jumps), jumps[0]
 
+    def _layout(self, take, depth: int):
+        return _triangle(take, depth)
+
+    def counted_total(self, state, depth: int) -> int:
+        return sum(map(sum, state))
+
 
 class _CommitmentRule(_LeftGrownRule):
     """759 and 247: (p, c) = leading zeros and remaining commitments.
 
     A label with c = 0 jumps to each (p - l, b) of ``_below(p)`` with a
     nonzero ``multiplicity(l, b)``, the number of admissible commitment
-    words.
-    Summed over l, column b takes C_b times b + 1 rounds of ``next_col``
-    applied to column 0, which ``_add_catalan_columns`` adds in one pass.
+    words.  Summed over l, column b takes C_b col_b, with col_0 =
+    ``next_col`` of column 0 and col_{b+1} = next_col(col_b[1:]): its
+    pending vector is col_b[1:], weighted by ``_weight(b)`` = C_b.
     """
 
     counted_cols = 1
     multiplicity: staticmethod
-    next_col: staticmethod
+    _weight = staticmethod(cache(catalan))
 
     def _jumps(self, p: int, c: int) -> Iterator[tuple[Label, int]]:
         if c == 0:
@@ -656,8 +685,8 @@ class _CommitmentRule(_LeftGrownRule):
                 if mult := self.multiplicity(p - q, b):
                     yield child, mult
 
-    def _next_state(self, state, depth: int):
-        return _add_catalan_columns(_shift_down(state), self.next_col(state[0]), self.next_col)
+    def _jump_source(self, cols: list[list[int]]) -> list[int]:
+        return self.next_col(cols[0][1:])
 
 
 class Rule759(_CommitmentRule):

@@ -412,13 +412,15 @@ def test_traced_benchmark_finds_every_entry_point(monkeypatch):
     """The benchmark's tracer wraps invseq's entry points by name; a renamed
     one makes install() raise, and uninstall() puts every original back.
     It also counts one oracle span per n, so the oracle keeps that call shape,
-    and sees every step of a class that counts every label."""
+    and sees every step of 830, which counts every label, and of 214, whose
+    lagged step reads its count through one ``counted_total`` each."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
     spec = importlib.util.spec_from_file_location("perfbench_spans", path)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
     original = gentree.count_class
     tracer = spans.Tracer(run_id="tier-1", clock=time.perf_counter)
+    monkeypatch.setattr(gentree, "_MEMO", {})
     try:
         tracer.install()
         gentree.count_class(ClassId.C214, 5)
@@ -431,7 +433,9 @@ def test_traced_benchmark_finds_every_entry_point(monkeypatch):
     assert gentree.count_class is original
     assert tracer.spans[0][0] == "gentree.count_class"
     assert [s[0] for s in tracer.spans].count("oracle.count_avoiders") == 6
-    steps_830 = [
-        s[4] for s in tracer.spans if s[0] == "gentree.step_state" and s[4][0] == "830"
-    ]
-    assert steps_830 == [("830", d) for d in range(6)]
+    step_spans = [(i, s[4]) for i, s in enumerate(tracer.spans) if s[0] == "gentree.step_state"]
+    for cls in ("214", "830"):
+        assert [attrs for _, attrs in step_spans if attrs[0] == cls] == [(cls, d) for d in range(6)]
+    steps_214 = [i for i, attrs in step_spans if attrs[0] == "214"]
+    parents = [s[3] for s in tracer.spans if s[0] == "gentree.counted_total"]
+    assert [i for i in parents if i in steps_214] == steps_214

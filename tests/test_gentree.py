@@ -24,6 +24,9 @@ from conftest import CENSUS_REFS
 
 ALL_CLASSES = list(ClassId)
 
+# sha256 digests of count_class(cid, 310) for 214, 247, 759 and 1509.
+DEEP_REFS = Path(__file__).resolve().parent / "counts_310.json"
+
 # 663A and 1420 have O(depth) labels, so their census is cheap to check deeper.
 EQUIVALENCE_DEPTH = {ClassId.C663A: 60, ClassId.C1420: 60}
 
@@ -44,15 +47,16 @@ class TestClassId:
 class TestPerClass:
     def test_fast_path_matches_generic_expansion(self, cid):
         rule = rule_for(cid)
-        census = {rule.root(): 1}
+        censuses = [{rule.root(): 1}]
         fast = rule.initial_state()
         for depth in range(EQUIVALENCE_DEPTH.get(cid, 25) + 1):
-            assert fast == rule.project(census, depth), (cid, depth)
+            assert fast == rule.project(censuses), (cid, depth)
+            census = censuses[-1]
             expected = sum(c for l, c in census.items() if rule.counted(l))
             total = rule.counted_total(fast, depth)
             fast, count = rule.step_state(fast, depth)
             assert count == total == expected, (cid, depth)
-            census = rule.step_census(census, depth)
+            censuses.append(rule.step_census(census, depth))
 
     def test_matches_oracle(self, cid):
         counts = count_class(cid, 8)
@@ -95,6 +99,18 @@ def test_counts_match_recorded_digests_to_210_terms():
             text = ",".join(map(str, count_class(cid, depth)))
             got = hashlib.sha256(text.encode()).hexdigest()
             assert got == digests[cid.value][str(depth)], (cid, depth)
+
+
+def test_counts_match_recorded_digests_to_310_terms(monkeypatch):
+    """The classes whose steppers lag their upper columns, counted from a
+    fresh memo to 210 terms and then on to 310, give the digests recorded
+    with the whole-triangle steppers."""
+    digests = json.loads(DEEP_REFS.read_text())["digests"]
+    monkeypatch.setattr(gentree, "_MEMO", {})
+    for cid in map(ClassId.parse, digests):
+        count_class(cid, 210)
+        text = ",".join(map(str, count_class(cid, 310)))
+        assert hashlib.sha256(text.encode()).hexdigest() == digests[cid.value], cid
 
 
 class TestWilfPartners:
@@ -143,14 +159,17 @@ class TestRule759Multiplicities:
         (ClassId.C830, Label("t", (1, 1, 0))),  # a stored length short of it
         (ClassId.C663A, Label("b", (3,))),  # a run past the depth
         (ClassId.C759, Label("", (1, 2))),  # a cell past the triangle
+        (ClassId.C1509, Label("", (0, 2))),  # in the triangle, past its column's lagged depth 1
         (ClassId.C733, Label("", (3, 0))),  # a cell past the triangle
     ],
-    ids=["1176", "830", "663A", "759", "733"],
+    ids=["1176", "830", "663A", "759", "1509", "733"],
 )
 def test_project_refuses_a_label_outside_the_layout(cid, label):
-    census = {**label_census(cid, 2), label: 1}
+    """The label joins every census of depths 0..2, so it is refused at the
+    depth where the layout holds its column."""
+    censuses = [{**label_census(cid, depth), label: 1} for depth in range(3)]
     with pytest.raises(RuleError, match=re.escape(str(label))):
-        rule_for(cid).project(census, 2)
+        rule_for(cid).project(censuses)
 
 
 def test_no_rule_method_branches_on_its_class():
