@@ -187,7 +187,8 @@ class SuccessionRule:
     def project(self, censuses: list[dict[Label, int]]):
         """The fast state at depth = len(censuses) - 1 off the reference
         censuses of depths 0..depth; a label at the depth where the layout
-        holds it, ``_held_at``, but without a cell there is a RuleError."""
+        holds it, ``_held_at``, but without a cell there, or one that cannot
+        occur in its census at all (``_fits``), is a RuleError."""
         depth, read = len(censuses) - 1, set()
 
         def take(label: Label, at: int = depth) -> int:
@@ -195,13 +196,18 @@ class SuccessionRule:
             return censuses[at].get(label, 0)
 
         state = self._layout(take, depth)
-        labels = {(at, l) for at, census in enumerate(censuses) for l in census}
-        if outside := ", ".join(str(l) for at, l in labels - read if self._held_at(l, depth) == at):
+        labels = {(at, l) for at, census in enumerate(censuses) for l in census} - read
+        if outside := ", ".join(
+            str(l) for at, l in labels if self._held_at(l, depth) == at or not self._fits(l, at)
+        ):
             raise RuleError(f"{self.class_id.value}: outside the depth-{depth} layout: {outside}")
         return state
 
     def _held_at(self, label: Label, depth: int) -> int:
         return depth
+
+    def _fits(self, label: Label, at: int) -> bool:
+        return True
 
     def initial_state(self):
         return self.project([{self.root(): 1}])
@@ -510,6 +516,9 @@ class _LeftGrownRule(SuccessionRule):
 
     def _held_at(self, label: Label, depth: int) -> int:
         return depth - self._lag(label.params[1])
+
+    def _fits(self, label: Label, at: int) -> bool:
+        return sum(label.params) <= at  # the triangle p + s <= at
 
     def _layout(self, take, depth: int):
         cols, pending = [], []

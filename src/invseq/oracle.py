@@ -6,9 +6,10 @@ value bitmasks: the state of a prefix is the set of values it uses and the
 set ``forb`` of values that would complete a forbidden pattern.  The
 patterns are compiled into per-letter masks, and every pattern, whatever
 its length, acts through ``forb`` alone, so checking a candidate
-extension is one bit test and the update a handful of integer operations,
-but the semantics are exactly "some subsequence reduces to a forbidden
-pattern".
+extension is one bit test, but the semantics are exactly "some
+subsequence reduces to a forbidden pattern".  Appending w only ever adds
+to ``forb`` the gain of w, a mask of ``valset`` and w alone, so a sweep
+computes each gain once and keeps it beside its level.
 
 What a prefix may become depends on its state alone, so counting sweeps
 forward one position at a time over a map from state to the number of
@@ -66,10 +67,10 @@ def _stand(a: int, b: int, w: int) -> int:
 
 def _compile(patterns: Iterable[Pattern], size: int) -> tuple[int | None, Callable | None]:
     """Compile patterns for the letters [0, size) into the forbidden-value
-    mask of the empty prefix and the update ``extend(valset, w, forb)``,
-    which gives the mask after a prefix using the values ``valset``
-    appends w.  The start is None when the empty pattern, which occurs in
-    every word, is forbidden.
+    mask of the empty prefix and the gain ``gain(valset, w)``: the values
+    that appending w to a prefix using the values ``valset`` newly
+    forbids, to be OR-ed into its mask.  The start is None when the empty
+    pattern, which occurs in every word, is forbidden.
 
     A pattern abc gains occurrences with the new letter w as its middle
     when some earlier x stands to w as a to b; they forbid every future v
@@ -99,21 +100,21 @@ def _compile(patterns: Iterable[Pattern], size: int) -> tuple[int | None, Callab
         else:
             raise ValueError(f"patterns longer than 3 are not supported: {p}")
 
-    def extend(valset: int, w: int, forb: int) -> int:
-        forb |= after[w]
+    def gain(valset: int, w: int) -> int:
+        mask = after[w]
         for left, right, up in middle[w]:
             xs = valset & left
             if not xs:
                 continue
             if up > 0:  # v above the least matching x
-                forb |= right & -((xs & -xs) << 1)
+                mask |= right & -((xs & -xs) << 1)
             elif up < 0:  # v below the greatest matching x
-                forb |= right & ((1 << (xs.bit_length() - 1)) - 1)
+                mask |= right & ((1 << (xs.bit_length() - 1)) - 1)
             else:
-                forb |= right & xs
-        return forb
+                mask |= right & xs
+        return mask
 
-    return start, extend
+    return start, gain
 
 
 def _require_size(what: str, size: int, bound: int | None = None) -> None:
@@ -127,7 +128,9 @@ def _require_size(what: str, size: int, bound: int | None = None) -> None:
         raise OracleBoundError(f"{what} exceeds exhaustive-search bound {limit}{hint}")
 
 
-def _step(level: dict, letters: int, extend: Callable, cover: int = 0, left: int = 0) -> dict:
+def _step(
+    level: dict, letters: int, gain: Callable, memo: dict, cover: int = 0, left: int = 0
+) -> dict:
     """The next level: each state of ``level`` extended by each of ``letters``
     that its ``forb`` allows.
 
@@ -135,19 +138,25 @@ def _step(level: dict, letters: int, extend: Callable, cover: int = 0, left: int
     to the number of prefixes in that state: the values used, and the
     values that would complete a pattern.  Every pattern acts through
     ``forb`` alone, so which letters may extend a prefix, and to which
-    state, depends on its state alone.  Every letter of ``cover`` must
-    occur: a state missing more of them than the ``left`` positions still
-    to fill is dropped.
+    state, depends on its state alone.  The new ``forb`` is the old one
+    OR ``gain(valset, w)``, which ``memo`` keeps as ``memo[valset][1 << w]``
+    for one pattern set.  Every letter of ``cover`` must occur: a state
+    missing more of them than the ``left`` positions still to fill is
+    dropped.
     """
     nxt: dict[tuple[int, int], int] = {}
     for (valset, forb), mult in level.items():
         if cover and (cover & ~valset).bit_count() > left:
             continue
+        row = memo.setdefault(valset, {})
         allowed = letters & ~forb
         while allowed:
             bit = allowed & -allowed
             allowed ^= bit
-            state = (valset | bit, extend(valset, bit.bit_length() - 1, forb))
+            mask = row.get(bit)
+            if mask is None:
+                mask = row[bit] = gain(valset, bit.bit_length() - 1)
+            state = (valset | bit, forb | mask)
             nxt[state] = nxt.get(state, 0) + mult
     return nxt
 
@@ -163,40 +172,41 @@ def _tally(level: dict, letters: int, cover: int = 0) -> int:
     )
 
 
-# The last pattern set's sweep (patterns, compile size, extend, level,
-# I_0..I_k); the level holds the prefixes of length max(k - 1, 0).
-_SWEEP: list = [None] * 5
+# The last pattern set's sweep (patterns, compile size, gain, its memo,
+# level, I_0..I_k); the level holds the prefixes of length max(k - 1, 0).
+_SWEEP: list = [None] * 6
 
 
 def count_avoiders(n: int, patterns: PatternSet, bound: int | None = None) -> int:
     """|I_n(S)|, by a level sweep over the states of the avoiding prefixes.
 
-    The last pattern set's sweep is kept: a call steps its level on to
-    length n - 1 and tallies I_n, and reads a smaller n from the counts.
-    No mask depends on the compile size, so compiling for more letters (at
-    least the default bound's) keeps the level.
+    The last pattern set's sweep is kept, with the gains it has computed:
+    a call steps its level on to length n - 1 and tallies I_n, and reads
+    a smaller n from the counts.  No mask depends on the compile size, so
+    compiling for more letters (at least the default bound's) keeps the
+    level and the gains.
     """
     _require_size(f"n={n}", n, bound)
-    same, size, extend, level, counts = _SWEEP
+    same, size, gain, memo, level, counts = _SWEEP
     if same != patterns or n > size:
         size = max(n, DEFAULT_BOUND)
-        start, extend = _compile(patterns, size)
+        start, gain = _compile(patterns, size)
         if same != patterns:
-            level = {} if start is None else {(0, start): 1}
+            level, memo = {} if start is None else {(0, start): 1}, {}
             counts = [int(start is not None)]
-    _SWEEP[:] = [None] * 5  # drop an old level now; a sweep cut short is not resumed
+    _SWEEP[:] = [None] * 6  # drop an old level now; a sweep cut short is not resumed
     for k in range(len(counts), n + 1):
         if k > 1:
-            level = _step(level, (1 << (k - 1)) - 1, extend)
+            level = _step(level, (1 << (k - 1)) - 1, gain, memo)
         counts.append(_tally(level, (1 << k) - 1))
-    _SWEEP[:] = patterns, size, extend, level, counts
+    _SWEEP[:] = patterns, size, gain, memo, level, counts
     return counts[n]
 
 
 def enumerate_avoiders(n: int, patterns: PatternSet) -> list[InversionSequence]:
     """The avoiders themselves, in lexicographic order."""
     _require_size(f"n={n}", n)
-    start, extend = _compile(patterns, n)
+    start, gain = _compile(patterns, n)
     out: list[InversionSequence] = []
     prefix: list[int] = []
 
@@ -208,7 +218,7 @@ def enumerate_avoiders(n: int, patterns: PatternSet) -> list[InversionSequence]:
             if forb >> w & 1:
                 continue
             prefix.append(w)
-            rec(pos + 1, valset | (1 << w), extend(valset, w, forb))
+            rec(pos + 1, valset | (1 << w), forb | gain(valset, w))
             prefix.pop()
 
     if start is not None:
@@ -255,10 +265,10 @@ def count_words(constraint: WordConstraint) -> int:
     _require_size(f"k={k}, b={b}", max(k, b))
     alphabet = ((1 << (b + 1)) - 1) & ~1  # letters 1..b
     cover = alphabet if constraint.surjective else 0
-    start, extend = _compile(constraint.forbidden, b + 1)
+    start, gain = _compile(constraint.forbidden, b + 1)
     if k == 0:
         return int(start is not None and not cover)
-    level = {} if start is None else {(0, start): 1}
+    level, memo = {} if start is None else {(0, start): 1}, {}
     for pos in range(k - 1):
-        level = _step(level, alphabet, extend, cover, k - pos)
+        level = _step(level, alphabet, gain, memo, cover, k - pos)
     return _tally(level, alphabet, cover)

@@ -172,6 +172,18 @@ def test_project_refuses_a_label_outside_the_layout(cid, label):
         rule_for(cid).project(censuses)
 
 
+@pytest.mark.parametrize("cid", [ClassId.C759, ClassId.C1509], ids=["759", "1509"])
+def test_project_refuses_a_label_past_its_census_triangle(cid):
+    """(1, 2) cannot occur at depth 2, so it is refused in the depth-2
+    census even though the lagged layout reads column 2 at an earlier
+    depth there."""
+    label = Label("", (1, 2))
+    censuses = [label_census(cid, depth) for depth in range(3)]
+    censuses[2] = {**censuses[2], label: 5}
+    with pytest.raises(RuleError, match=re.escape(str(label))):
+        rule_for(cid).project(censuses)
+
+
 def test_no_rule_method_branches_on_its_class():
     """A family states its shared moves once and each class its own, so no
     method in gentree compares ``self.class_id``."""

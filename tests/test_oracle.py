@@ -116,9 +116,17 @@ class TestResumedSweep:
             assert count_avoiders(n, ps, bound) == cached_brute_count(n, ps), (n, str(ps))
 
     def test_resumes_past_the_default_bound(self):
-        ps, n_max = PatternSet.of("001"), DEFAULT_BOUND + 3
-        counts = [count_avoiders(n, ps, bound=n_max) for n in range(n_max + 1)]
-        assert counts == [1] + [2 ** (n - 1) for n in range(1, n_max + 1)]
+        # I_n(000) is the up/down number E_{n+1} (Corteel, Martinez, Savage
+        # and Weselcouch 2016), here by Seidel's boustrophedon
+        n_max, row, up_down = DEFAULT_BOUND + 3, [1], [1]
+        for _ in range(n_max + 1):
+            row = list(itertools.accumulate(reversed(row), initial=0))
+            up_down.append(row[-1])
+        expected = {"001": [1] + [2 ** (n - 1) for n in range(1, n_max + 1)], "000": up_down[1:]}
+        for pattern, counts in expected.items():
+            ps = PatternSet.of(pattern)
+            got = [count_avoiders(n, ps, bound=n_max) for n in range(n_max + 1)]
+            assert got == counts, pattern
 
 
 class TestBound:
