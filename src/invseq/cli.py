@@ -149,6 +149,10 @@ WORD_RULESETS = {
 
 
 def cmd_words(args) -> int:
+    if args.b < 1:
+        raise ValueError("--b must be at least 1")
+    if args.k < args.b:
+        raise ValueError("--k must be at least --b")
     forbidden, formula = WORD_RULESETS[args.rules]
     expected = formula(args.k, args.b)
     constraint = WordConstraint.of(args.k, args.b, forbidden, surjective=True)

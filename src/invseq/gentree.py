@@ -22,8 +22,8 @@ Each layout family states its state's layout once, in ``_layout``; from it
 ``project`` reads the fast state off the reference censuses, and the
 starting state is the projection of the root.  Each reference move is stated
 once: a family states the moves its classes share (the stays of
-``_LeftGrownRule``, the a-moves of ``_SingleRunRule``, the depth and tag
-check of ``_TwoGridRule``, the a/b moves of the 1176 family), every
+``_LeftGrownRule``, the a-moves of ``_SingleRunRule``, the tag check of
+``_TwoGridRule``, the a/b moves of the 1176 family), every
 left-grown jump lands in ``_below(p)``, and each class states only what is
 its own.
 The steppers of 663A, 1420 and the 1176 family keep one list per tag; 733
@@ -40,9 +40,9 @@ both agree with the brute-force oracle.
 Label conventions: right-grown rules track statistics of the sequence end
 (``a``/``b``/``c``/``d``/``e`` progression for the 1176 family,
 maximum/premaximum ``s``/``t`` for 830, maximum/valid-descents ``p``/``q``
-for 2106); labels that depend on the length carry it redundantly and
-``expand`` checks it against the tree depth.  Left-grown rules track the
-leading runs of zeros (p, s) or the prefix plus remaining commitments
+for 2106); the moves of a label whose children depend on the sequence
+length read it from the depth ``expand`` is given.  Left-grown rules track
+the leading runs of zeros (p, s) or the prefix plus remaining commitments
 (p, c).
 """
 
@@ -150,7 +150,8 @@ class RuleError(RuntimeError):
 
 class SuccessionRule:
     """Base: ``root`` and ``counted`` (the label (0, 0) and every label,
-    unless the rule overrides them), ``expand``, and ``step_census``, the
+    unless the rule overrides them), ``expand(label, depth)``, the children
+    of a label of a sequence of length depth, and ``step_census``, the
     reference step on ``{Label: count}`` censuses.  Every rule adds
     ``counted_total`` on its own compact state, and its family the layout of
     that state, ``_layout(take, depth)``: the state at depth, built by asking
@@ -213,12 +214,7 @@ class SuccessionRule:
         return self.project([{self.root(): 1}])
 
     def step_state(self, state, depth: int):
-        return self._next_state(state, depth), self.counted_total(state, depth)
-
-
-def _require_depth(label: Label, depth: int) -> None:
-    if label.params[0] != depth:
-        raise RuleError(f"label {label} at depth {depth}: stored length disagrees")
+        return self._next_state(state, depth), self.counted_total(state)
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +225,7 @@ def _require_depth(label: Label, depth: int) -> None:
 class _Rule1176Family(SuccessionRule):
     """Classes 1176, 1253 and 1016 share the a/b skeleton.
 
-    Tag a: non-decreasing, ending on h (label carries the length).
+    Tag a: non-decreasing, ending on h.
     Tags b, c, d track how much of a 101 pattern (max, premax, max) has
     occurred; tag e covers the strictly-descending (or single-value) tail.
     b and c label phantom objects and are never counted.  The a and b moves
@@ -238,7 +234,7 @@ class _Rule1176Family(SuccessionRule):
     """
 
     def root(self) -> Label:
-        return Label("a", (0, 0))
+        return Label("a", (0,))
 
     def counted(self, label: Label) -> bool:
         return label.tag in ("a", "d", "e")
@@ -246,12 +242,11 @@ class _Rule1176Family(SuccessionRule):
     def expand(self, label: Label, depth: int) -> Iterator[tuple[Label, int]]:
         tag = label.tag
         if tag == "a":
-            _require_depth(label, depth)
-            n, h = label.params
-            for i in range(h, n + 1):
-                yield Label("a", (n + 1, i)), 1
-            for i in range(h, n):
-                yield Label("b", (i,)), n - i
+            (h,) = label.params
+            for i in range(h, depth + 1):
+                yield Label("a", (i,)), 1
+            for i in range(h, depth):
+                yield Label("b", (i,)), depth - i
             for i in range(h):
                 yield Label("e", (i,)), 1
         elif tag == "b":
@@ -267,9 +262,7 @@ class _Rule1176Family(SuccessionRule):
     # alike in all three classes, the c, d and e lists in each subclass.
 
     def _layout(self, take, depth: int):
-        levels = range(depth + 1)
-        a = [take(Label("a", (depth, h))) for h in levels]
-        return (a, *([take(Label(tag, (k,))) for k in levels] for tag in "bcde"))
+        return tuple([take(Label(tag, (k,))) for k in range(depth + 1)] for tag in "abcde")
 
     @staticmethod
     def _step_ab(a, b, depth: int):
@@ -277,7 +270,7 @@ class _Rule1176Family(SuccessionRule):
         new_b = [bk + (depth - k) * pk for k, (bk, pk) in enumerate(zip(b, pref_a))]
         return pref_a + [0], new_b + [0]
 
-    def counted_total(self, state, depth: int) -> int:
+    def counted_total(self, state) -> int:
         a, b, c, d, e = state
         return sum(a) + sum(d) + sum(e)
 
@@ -342,46 +335,45 @@ class Rule1016(_Rule1176Family):
 
 
 class _TwoGridRule(SuccessionRule):
-    """Right-grown rules labelled (length, h, k) under one of two tags, all
-    counted, with k <= h.  ``expand`` checks the length and the tag, and
-    each class states the children of a label in ``_moves(tag, n, h, k)``.
+    """Right-grown rules labelled (h, k) under one of two tags, all counted,
+    with k <= h.  ``expand`` checks the tag, and each class states the
+    children of a label of a length-n sequence in ``_moves(tag, n, h, k)``.
     The fast state is one grid per tag, whose row h holds k = 0..h, for
     h = 0..depth."""
 
     tags: str  # the two tag letters; the root carries the first
 
     def root(self) -> Label:
-        return Label(self.tags[0], (0, 0, 0))
+        return Label(self.tags[0], (0, 0))
 
     def expand(self, label: Label, depth: int) -> Iterator[tuple[Label, int]]:
-        _require_depth(label, depth)
         if label.tag not in self.tags:
             raise RuleError(f"unknown tag {label.tag!r}")
-        return self._moves(label.tag, *label.params)
+        return self._moves(label.tag, depth, *label.params)
 
     def _layout(self, take, depth: int):
         return tuple(
-            [[take(Label(tag, (depth, h, k))) for k in range(h + 1)] for h in range(depth + 1)]
+            [[take(Label(tag, (h, k))) for k in range(h + 1)] for h in range(depth + 1)]
             for tag in self.tags
         )
 
-    def counted_total(self, state, depth: int) -> int:
+    def counted_total(self, state) -> int:
         return sum(sum(row) for grid in state for row in grid)
 
 
 class Rule830(_TwoGridRule):
-    """Tracks (length, maximum h, premaximum k); tag s ends on the maximum,
+    """Tracks (maximum h, premaximum k); tag s ends on the maximum,
     tag t on the premaximum.  All-zero sequences take k = 0."""
 
     class_id = ClassId.C830
     tags = "st"
 
     def _moves(self, tag: str, n: int, h: int, k: int) -> Iterator[tuple[Label, int]]:
-        yield Label("s", (n + 1, h, k)), 1
+        yield Label("s", (h, k)), 1
         for i in range(h + 1, n + 1):
-            yield Label("s", (n + 1, i, h)), 1
+            yield Label("s", (i, h)), 1
         for i in range(k + 1 if tag == "s" else k, h):  # a new premaximum i
-            yield Label("t", (n + 1, h, i)), 1
+            yield Label("t", (h, i)), 1
 
     def step_state(self, state, depth: int):
         # s-children keep (h, k) from both tags.  t-children keep maximum h
@@ -405,7 +397,7 @@ class Rule830(_TwoGridRule):
 
 
 class Rule2106(_TwoGridRule):
-    """Tracks (length, maximum h, number k of still-valid descent values);
+    """Tracks (maximum h, number k of still-valid descent values);
     tag p ends on the maximum, tag q strictly below it."""
 
     class_id = ClassId.C2106
@@ -414,9 +406,9 @@ class Rule2106(_TwoGridRule):
     def _moves(self, tag: str, n: int, h: int, k: int) -> Iterator[tuple[Label, int]]:
         first = h if tag == "p" else h + 1  # the least new maximum
         for i in range(first, n + 1):
-            yield Label("p", (n + 1, i, k + i - first)), 1
+            yield Label("p", (i, k + i - first)), 1
         for i in range(k):
-            yield Label("q", (n + 1, h, i)), 1
+            yield Label("q", (h, i)), 1
 
     def step_state(self, state, depth: int):
         # p-labels have k <= h and q-labels k < h.  p-children run along
@@ -536,7 +528,7 @@ class _LeftGrownRule(SuccessionRule):
             )
         return cols, pending
 
-    def counted_total(self, state, depth: int) -> int:
+    def counted_total(self, state) -> int:
         return sum(sum(islice(col, self.counted_rows)) for col in state[0][: self.counted_cols])
 
     def step_state(self, state, depth: int):
@@ -553,7 +545,7 @@ class _LeftGrownRule(SuccessionRule):
         for s in range(1, len(new_cols)):
             moving = new_pending[-1] if s < self.counted_cols else pending[s - 1]
             new_pending.append(self.next_col(moving[1:]))
-        return (new_cols, new_pending), self.counted_total(state, depth)
+        return (new_cols, new_pending), self.counted_total(state)
 
 
 class _ResetRule(SuccessionRule):
@@ -593,7 +585,7 @@ class _ResetRule(SuccessionRule):
         new_z = [0, *map(add, r, v[1:] + [0])]
         return (new_r, new_z)
 
-    def counted_total(self, state, depth: int) -> int:
+    def counted_total(self, state) -> int:
         return sum(state[self.counted_vector])
 
 
@@ -669,7 +661,7 @@ class Rule1953A(SuccessionRule):
     def _layout(self, take, depth: int):
         return _triangle(take, depth)
 
-    def counted_total(self, state, depth: int) -> int:
+    def counted_total(self, state) -> int:
         return sum(map(sum, state))
 
 
@@ -771,7 +763,7 @@ class Rule663A(_SingleRunRule):
         suf = _suffix_sums(a)
         return ([0, *map(add, suf, b)], [0, *map(add, suf[2:] + [0, 0], b)])
 
-    def counted_total(self, state, depth: int) -> int:
+    def counted_total(self, state) -> int:
         return sum(state[0])
 
 
@@ -790,7 +782,7 @@ class Rule1420(_SingleRunRule):
         suf = _suffix_sums(list(map(add, a, b)))
         return ([0, *suf], [0, *map(add, suf[2:] + [0, 0], b)])
 
-    def counted_total(self, state, depth: int) -> int:
+    def counted_total(self, state) -> int:
         return sum(state[0]) + sum(state[1])
 
 

@@ -108,6 +108,10 @@ class TestClassification:
         with pytest.raises(KeyError):
             classification.cell_of(PatternSet.of("00"))
 
+    def test_negative_depth_is_refused(self):
+        with pytest.raises(ValueError, match="n_max must be nonnegative"):
+            classify_triples(-1)
+
 
 class TestGrowthReference:
     def test_root_constants(self):

@@ -234,6 +234,9 @@ class TestWords:
         ("count --class 214 --n 3 --format table", {}),
         ("series --class 1016 --order 3 --format table", {}),
         ("series --class 663A --order 3 --verify-minpoly", {}),
+        ("words --k -1 --b 1 --rules R1R2", {}),
+        ("words --k 1 --b 0 --rules R1R2", {}),
+        ("count --triple <,> --n 3", {}),
     ],
 )
 def test_bad_input_exits_2_with_one_error_line(command, env, capsys, monkeypatch):
@@ -337,6 +340,16 @@ def test_negative_classify_max_n_names_the_option(capsys):
     with pytest.raises(SystemExit):
         main(["classify", "--max-n", "-1"])
     assert capsys.readouterr().err == "error: --max-n must be nonnegative\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [("--k -1 --b 1", "--k must be at least --b"), ("--k 1 --b 0", "--b must be at least 1")],
+)
+def test_words_refusals_name_the_options(argv, message, capsys):
+    with pytest.raises(SystemExit):
+        main(["words", *argv.split(), "--rules", "R1R2"])
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_cli_imports_the_standard_library_only():

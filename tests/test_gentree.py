@@ -24,7 +24,8 @@ from conftest import CENSUS_REFS
 
 ALL_CLASSES = list(ClassId)
 
-# sha256 digests of count_class(cid, 310) for 214, 247, 759 and 1509.
+# sha256 digests of count_class(cid, 310): "lagged" for 214, 247, 759 and
+# 1509, "all_counted" for 830, 2106 and 1953A.
 DEEP_REFS = Path(__file__).resolve().parent / "counts_310.json"
 
 # 663A and 1420 have O(depth) labels, so their census is cheap to check deeper.
@@ -53,7 +54,7 @@ class TestPerClass:
             assert fast == rule.project(censuses), (cid, depth)
             census = censuses[-1]
             expected = sum(c for l, c in census.items() if rule.counted(l))
-            total = rule.counted_total(fast, depth)
+            total = rule.counted_total(fast)
             fast, count = rule.step_state(fast, depth)
             assert count == total == expected, (cid, depth)
             censuses.append(rule.step_census(census, depth))
@@ -105,10 +106,20 @@ def test_counts_match_recorded_digests_to_310_terms(monkeypatch):
     """The classes whose steppers lag their upper columns, counted from a
     fresh memo to 210 terms and then on to 310, give the digests recorded
     with the whole-triangle steppers."""
-    digests = json.loads(DEEP_REFS.read_text())["digests"]
+    digests = json.loads(DEEP_REFS.read_text())["lagged"]["digests"]
     monkeypatch.setattr(gentree, "_MEMO", {})
     for cid in map(ClassId.parse, digests):
         count_class(cid, 210)
+        text = ",".join(map(str, count_class(cid, 310)))
+        assert hashlib.sha256(text.encode()).hexdigest() == digests[cid.value], cid
+
+
+def test_all_counted_classes_match_recorded_digests_to_310_terms():
+    """830, 2106 and 1953A, counted through the shared memo, give the
+    digests recorded while 830's and 2106's reference labels still stored
+    the sequence length."""
+    digests = json.loads(DEEP_REFS.read_text())["all_counted"]["digests"]
+    for cid in map(ClassId.parse, digests):
         text = ",".join(map(str, count_class(cid, 310)))
         assert hashlib.sha256(text.encode()).hexdigest() == digests[cid.value], cid
 
@@ -155,8 +166,8 @@ class TestRule759Multiplicities:
 @pytest.mark.parametrize(
     "cid, label",  # per layout family, a label its depth-2 layout has no cell for
     [
-        (ClassId.C1176, Label("a", (3, 0))),  # a stored length past the depth
-        (ClassId.C830, Label("t", (1, 1, 0))),  # a stored length short of it
+        (ClassId.C1176, Label("a", (3,))),  # a maximum past the depth
+        (ClassId.C830, Label("t", (0, 1))),  # a premaximum above the maximum
         (ClassId.C663A, Label("b", (3,))),  # a run past the depth
         (ClassId.C759, Label("", (1, 2))),  # a cell past the triangle
         (ClassId.C1509, Label("", (0, 2))),  # in the triangle, past its column's lagged depth 1

@@ -1,13 +1,19 @@
 import ast
+import re
 from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _sources():
+    return sorted((*ROOT.glob("src/**/*.py"), *ROOT.glob("tests/*.py")))
 
 
 def test_no_unused_imports():
     """No file under src/ or tests/ imports a name it never uses.  perfbench/
     is left out: its reference import loads modules only to time the import."""
-    root = Path(__file__).resolve().parents[1]
     unused = []
-    for path in sorted((*root.glob("src/**/*.py"), *root.glob("tests/*.py"))):
+    for path in _sources():
         tree = ast.parse(path.read_text())
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         for node in ast.walk(tree):
@@ -16,5 +22,14 @@ def test_no_unused_imports():
                 for alias in node.names:
                     name = alias.asname or alias.name.split(".")[0]
                     if name not in used:
-                        unused.append(f"{path.relative_to(root)}:{node.lineno}: {name}")
+                        unused.append(f"{path.relative_to(ROOT)}:{node.lineno}: {name}")
     assert unused == []
+
+
+def test_sources_parse_at_the_oldest_supported_python():
+    """Every file under src/ or tests/ is valid syntax at the version that
+    pyproject.toml's requires-python names, whichever Python runs the test."""
+    text = (ROOT / "pyproject.toml").read_text()
+    major, minor = re.search(r'requires-python = ">=(\d+)\.(\d+)"', text).groups()
+    for path in _sources():
+        ast.parse(path.read_text(), str(path), feature_version=(int(major), int(minor)))

@@ -236,3 +236,7 @@ class TestCountWords:
     def test_surjective_needs_enough_length(self):
         with pytest.raises(ValueError):
             WordConstraint.of(2, 3, (), surjective=True)
+
+    def test_empty_alphabet_is_refused(self):
+        with pytest.raises(ValueError, match="alphabet must be nonempty"):
+            WordConstraint.of(1, 0)

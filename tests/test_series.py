@@ -91,6 +91,18 @@ class TestTruncatedSeries:
         with pytest.raises(ValueError, match=f"cannot shift by {k}: the series has only 2"):
             TruncatedSeries([0, 0], 2).shift(k)
 
+    def test_shift_down_past_a_nonzero_coefficient_is_refused(self):
+        with pytest.raises(ValueError, match="cannot shift by -1: low-order coefficients nonzero"):
+            TruncatedSeries([1, 1], 4).shift(-1)
+
+    def test_order_zero_is_refused(self):
+        with pytest.raises(ValueError, match="order must be at least 1"):
+            TruncatedSeries([1], 0)
+
+    def test_zero_constant_term_has_no_inverse(self):
+        with pytest.raises(ZeroDivisionError, match="zero constant term"):
+            TruncatedSeries([0, 1], 4).inverse()
+
     def test_sqrt(self):
         sq = TruncatedSeries([1, 2, 1], 10).sqrt()
         assert sq.coeffs[:3] == [1, 1, 0]
@@ -252,6 +264,10 @@ class TestQuarticFactorisation:
         # are compared with e1, e2 in test_733_roots_in_sqrt5_extension.
         assert e1.coeffs[0] == 2
         assert e2.coeffs[0] == 1
+
+    def test_quartic_not_degenerating_at_zero_is_refused(self):
+        with pytest.raises(ValueError, match=r"does not degenerate to \(x - 1\)\^2"):
+            hensel_quadratic_factors([1], [1], [1], [1], 5)
 
     def test_733_roots_in_sqrt5_extension(self):
         order = 120  # the verify benchmark's bounded_roots.733 order
