@@ -14,8 +14,10 @@ computes each gain once and keeps it beside its level.
 What a prefix may become depends on its state alone, so counting sweeps
 forward one position at a time over a map from state to the number of
 prefixes in it (the "label = state" view of a generating tree); the last
-position is tallied from the level before it, never built.  One sweep per
-pattern set serves every n: the last set's sweep is kept and resumed.
+position is tallied from the level before it, never built.  A word that
+must use every letter keeps only the prefixes that still can: one missing
+as many letters as it has positions left extends only by them.  One sweep
+per pattern set serves every n: the last set's sweep is kept and resumed.
 Enumeration needs the sequences themselves and stays a depth-first
 search; the tests check the two against each other, and both against a
 no-pruning filter of all n! sequences.
@@ -142,14 +144,18 @@ def _step(
     OR ``gain(valset, w)``, which ``memo`` keeps as ``memo[valset][1 << w]``
     for one pattern set.  Every letter of ``cover`` must occur: a state
     missing more of them than the ``left`` positions still to fill is
-    dropped.
+    dropped, and one missing exactly ``left`` extends only by those.
     """
     nxt: dict[tuple[int, int], int] = {}
     for (valset, forb), mult in level.items():
-        if cover and (cover & ~valset).bit_count() > left:
-            continue
-        row = memo.setdefault(valset, {})
         allowed = letters & ~forb
+        if cover:
+            missing = cover & ~valset
+            if missing.bit_count() > left:
+                continue
+            if missing.bit_count() == left:
+                allowed &= missing
+        row = memo.setdefault(valset, {})
         while allowed:
             bit = allowed & -allowed
             allowed ^= bit

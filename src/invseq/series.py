@@ -5,9 +5,9 @@ Everything here is exact arithmetic: series coefficients are Python
 division is inexact (see :func:`_div`), and numbers (A + B sqrt(5))/D
 with integer A, B, D (:class:`QSqrt5`) only in the finished roots of
 :func:`bounded_roots_733`, so agreement between two computations is
-literal equality, not a floating-point tolerance.  A product reads only
-each operand's nonzero support, so a short polynomial padded to the
-series order costs its own length per coefficient, not the order.
+literal equality, not a floating-point tolerance.  Products and quotients
+(``inverse()`` is 1 / x) read only the nonzero support of each factor and
+divisor, so a short polynomial costs its own length per coefficient.
 
 The counting series of the algebraic classes is computed here in two
 ways.  The closed forms (:func:`expand_closed_form`) and the minimal
@@ -26,9 +26,9 @@ test-suite confirms that all routes coincide.  The square-root forms of
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate, zip_longest
+from itertools import accumulate
 from math import lcm
-from operator import mul
+from operator import add, mul
 from typing import Sequence
 
 from .gentree import ClassId
@@ -193,19 +193,19 @@ class TruncatedSeries:
     __rmul__ = __mul__
 
     def inverse(self) -> "TruncatedSeries":
-        c0 = self.coeffs[0]
-        if not c0:
-            raise ZeroDivisionError("series has no inverse: zero constant term")
-        a, out = _support(self.coeffs), [_div(1, c0)]
-        for n in range(1, self.order):
-            j = min(n, len(a) - 1)  # a_i = 0 for i >= len(a)
-            out.append(_div(-sum(map(mul, a[j:0:-1], out[n - j :])), c0))
-        return TruncatedSeries(out, self.order)
+        return TruncatedSeries([1], self.order) / self
 
     def __truediv__(self, other):
+        """a / b in one pass: q_k = (a_k - sum_(i >= 1) b_i q_(k-i)) / b_0."""
         if not isinstance(other, TruncatedSeries):
             return TruncatedSeries([_div(c, other) for c in self.coeffs], self.order)
-        return self * other.inverse()
+        if not other.coeffs[0]:
+            raise ZeroDivisionError("series has no inverse: zero constant term")
+        a, b, q = self.coeffs, _support(other.coeffs), []
+        for k in range(min(self.order, other.order)):
+            j = min(k, len(b) - 1)  # b_i = 0 for i >= len(b)
+            q.append(_div(a[k] - sum(map(mul, b[j:0:-1], q[k - j :])), b[0]))
+        return TruncatedSeries(q, len(q))
 
     def shift(self, k: int) -> "TruncatedSeries":
         """Multiply by z^k; negative k requires the low coefficients to vanish."""
@@ -424,7 +424,11 @@ def _div_1mx(p: list[int]) -> list[int]:
 
 
 def _padd(*ps: Sequence[int]) -> list[int]:
-    return [sum(cs) for cs in zip_longest(*ps, fillvalue=0)]
+    *rest, longest = sorted(ps, key=len)
+    out = list(longest)
+    for p in rest:
+        out[: len(p)] = map(add, out, p)
+    return out
 
 
 def _pneg(p: Sequence[int]) -> list[int]:

@@ -2,6 +2,7 @@ import argparse
 import importlib.util
 import json
 import os
+import random
 import re
 import shlex
 import subprocess
@@ -19,6 +20,7 @@ from invseq.oracle import BOUND_ENV_VAR, DEFAULT_BOUND
 from invseq.series import TruncatedSeries
 
 OVER = DEFAULT_BOUND + 1
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def run(capsys, *argv):
@@ -421,16 +423,33 @@ def test_root_prefix_compares_exact_coefficients(monkeypatch):
     assert want != got
 
 
+def _load_perfbench(name: str):
+    """perfbench/<name>.py as a module; perfbench/ is not a package."""
+    path = PERFBENCH / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_verify_ops_match_their_references():
+    """Every op of the benchmark's verify workload returns its recorded
+    verdict, so a fault in a kernel those ops call fails here, not only
+    in a benchmark run."""
+    workloads = _load_perfbench("workloads")
+    ref = json.loads((PERFBENCH / "refs" / "verify.json").read_text())
+    ops = list(workloads.verify_ops(random.Random(0), ref))
+    assert len(ops) == len(ref["verdicts"]) == 133
+    assert [op_id for op_id, run, check in ops if not check(run())] == []
+
+
 def test_traced_benchmark_finds_every_entry_point(monkeypatch):
     """The benchmark's tracer wraps invseq's entry points by name; a renamed
     one makes install() raise, and uninstall() puts every original back.
     It also counts one oracle span per n, so the oracle keeps that call shape,
     and sees every step of 830, which counts every label, and of 214, whose
     lagged step reads its count through one ``counted_total`` each."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
-    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    spans = _load_perfbench("spans")
     original = gentree.count_class
     tracer = spans.Tracer(run_id="tier-1", clock=time.perf_counter)
     monkeypatch.setattr(gentree, "_MEMO", {})

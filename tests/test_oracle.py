@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -219,6 +220,14 @@ class TestCountWords:
     )
     def test_random_sets_match_brute_force(self, forbidden, surjective):
         assert_words_match_brute_force(forbidden, surjective, 6, 4)
+
+    @pytest.mark.parametrize("forbidden", [("212", "112", "213"), ("111", "212", "112", "213")])
+    def test_surjective_words_on_k_letters_count_213_avoiding_permutations(self, forbidden):
+        """With b = k every letter occurs once, so such a word is a permutation:
+        only 213 can occur, and 213-avoiders are counted by Catalan(k)."""
+        for k in range(1, 11):
+            c = WordConstraint.of(k, k, forbidden, surjective=True)
+            assert count_words(c) == math.comb(2 * k, k) // (k + 1), k
 
     def test_forbidden_words_normalised(self):
         a = WordConstraint.of(5, 3, ["212"])

@@ -168,6 +168,39 @@ class TestProduct:
             assert [type(c) for c in got.coeffs] == [type(c) for c in want]
 
 
+@st.composite
+def _divisor(draw):
+    """A series with constant term 1, -1, 2 or 3/2: a polynomial of at most
+    three terms padded to the order, or dense to the order."""
+    coeff = draw(st.sampled_from([st.integers(-9, 9), st.fractions(-3, 3, max_denominator=5)]))
+    order = draw(st.integers(1, 12))
+    size = draw(st.sampled_from([min(order, 3), order]))
+    head = draw(st.sampled_from([1, -1, 2, Fraction(3, 2)]))
+    rest = draw(st.lists(coeff, min_size=size - 1, max_size=size - 1))
+    return TruncatedSeries([head, *rest], order)
+
+
+class TestDivision:
+    @given(_series(), _divisor())
+    @example(TruncatedSeries([1, 2, 3, 4, 5, 6], 6), TruncatedSeries([2, -1, 1], 8))
+    def test_quotient_times_divisor_is_the_dividend(self, a, b):
+        n = min(a.order, b.order)
+        q = a / b
+        assert q.order == n and q * b == TruncatedSeries(a.coeffs, n)
+
+    @given(_divisor())
+    def test_inverse_times_series_is_one(self, b):
+        assert b * b.inverse() == TruncatedSeries([1], b.order)
+
+    @given(_series())
+    def test_zero_constant_term_is_refused_alike(self, a):
+        b = TruncatedSeries([0, *a.coeffs], a.order + 1)
+        message = "^series has no inverse: zero constant term$"
+        for divide in (lambda: a / b, b.inverse):
+            with pytest.raises(ZeroDivisionError, match=message):
+                divide()
+
+
 class TestKernelRoot:
     @pytest.mark.parametrize("cid", CUBIC_KERNELS, ids=lambda c: c.value)
     def test_shorter_orders_are_prefixes(self, cid):
