@@ -14,12 +14,13 @@ classes exhibit, and an exact certificate for each algebraic mu.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .core import PatternSet, RelationTriple, all_triples, triple_to_pattern_set
+from .core import PatternSet, RelationTriple, all_triples, length3_patterns, triple_to_pattern_set
 from .gentree import ClassId
 from .oracle import count_avoiders
 
@@ -54,6 +55,12 @@ PATTERN_IMPLICATIONS: tuple[tuple[str, frozenset[str]], ...] = (
 )
 
 
+@functools.cache
+def _implications() -> tuple:  # on the shared Pattern objects: set lookups hit by identity
+    shared = {str(p): p for p in length3_patterns()}
+    return tuple((shared[p], frozenset(map(shared.get, alts))) for p, alts in PATTERN_IMPLICATIONS)
+
+
 def close_pattern_set(patterns: PatternSet) -> PatternSet:
     """Add every pattern made redundant by the implication table.
 
@@ -61,15 +68,10 @@ def close_pattern_set(patterns: PatternSet) -> PatternSet:
     triples are equivalent whenever their induced pattern sets have equal
     closures.
     """
-    have = {str(p) for p in patterns.patterns}
-    changed = True
-    while changed:
-        changed = False
-        for p, alternatives in PATTERN_IMPLICATIONS:
-            if p not in have and alternatives <= have:
-                have.add(p)
-                changed = True
-    return PatternSet.of(*sorted(have))
+    have = set(patterns.patterns)
+    while grown := [p for p, alts in _implications() if p not in have and alts <= have]:
+        have.update(grown)
+    return PatternSet(frozenset(have))
 
 
 @dataclass

@@ -38,7 +38,7 @@ def words_R1R3(k: int, b: int) -> int:
     """
     if k == 0 and b == 0:
         return 1
-    if b < 1 or b > k or k > 2 * b:
+    if b < 1 or b > k:
         return 0
     return comb(b, k - b) * catalan(b)
 
@@ -56,6 +56,6 @@ def multiplicity_w(ell: int, b: int) -> int:
     Out-of-support arguments return 0 rather than raising; the succession
     rule's stated range ceil((ell-1)/2) <= b <= ell is exactly the support.
     """
-    if b < 0 or not 0 <= ell - b <= b + 1:
+    if b < 0 or b > ell:
         return 0
     return comb(b + 1, ell - b) * catalan(b)

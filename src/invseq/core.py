@@ -195,6 +195,12 @@ def length3_patterns() -> tuple[Pattern, ...]:
     return tuple(sorted(out))
 
 
+@functools.cache
+def _where(i: int, j: int, rel: Relation) -> frozenset[Pattern]:
+    """The length-3 patterns whose digits i and j stand in the relation."""
+    return frozenset(p for p in length3_patterns() if rel.holds(p.digits[i], p.digits[j]))
+
+
 def triple_to_pattern_set(triple: RelationTriple) -> PatternSet:
     """The length-3 patterns whose occurrence realises the triple.
 
@@ -202,11 +208,5 @@ def triple_to_pattern_set(triple: RelationTriple) -> PatternSet:
     sigma_1 rho3 sigma_3; avoiding the triple is then the same as avoiding
     this set.
     """
-    pats = frozenset(
-        p
-        for p in length3_patterns()
-        if triple.rho1.holds(p.digits[0], p.digits[1])
-        and triple.rho2.holds(p.digits[1], p.digits[2])
-        and triple.rho3.holds(p.digits[0], p.digits[2])
-    )
+    pats = _where(0, 1, triple.rho1) & _where(1, 2, triple.rho2) & _where(0, 2, triple.rho3)
     return PatternSet(pats)

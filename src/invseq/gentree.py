@@ -515,7 +515,7 @@ class _LeftGrownRule(SuccessionRule):
     def _layout(self, take, depth: int):
         cols, pending = [], []
         for s in range(depth + 1):
-            if (at := depth - self._lag(s)) < s:
+            if (at := self._held_at(Label("", (0, s)), depth)) < s:
                 break
             jumps = Counter()  # the children of expand in rows at most the parent's
             for p, c in ((p, c) for c in range(self.counted_cols) for p in range(at + 1 - c)):

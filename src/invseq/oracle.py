@@ -14,10 +14,13 @@ computes each gain once and keeps it beside its level.
 What a prefix may become depends on its state alone, so counting sweeps
 forward one position at a time over a map from state to the number of
 prefixes in it (the "label = state" view of a generating tree); the last
-position is tallied from the level before it, never built.  A word that
-must use every letter keeps only the prefixes that still can: one missing
-as many letters as it has positions left extends only by them.  One sweep
-per pattern set serves every n: the last set's sweep is kept and resumed.
+position is tallied from the level before it, never built.  A state is one
+int, ``valset << width | forb``, cut to the letters [0, width) that the
+sweep offers.  A word that must use every letter keeps only the prefixes
+that still can: one missing as many letters as it has positions left
+extends only by them.  One sweep per pattern set serves every n: the last
+set's sweep is kept and resumed, and n past its width, whose cut bits are
+lost, restarts it at least twice as wide.
 Enumeration needs the sequences themselves and stays a depth-first
 search; the tests check the two against each other, and both against a
 no-pruning filter of all n! sequences.
@@ -59,7 +62,7 @@ def oracle_bound(override: int | None = None) -> int:
 
 def _stand(a: int, b: int, w: int) -> int:
     """The values x that stand to w as the digit a stands to b.  The mask of
-    the values above w has no top, so no mask depends on the alphabet."""
+    the values above w has no top; ``_compile`` cuts it to the alphabet."""
     if a < b:
         return (1 << w) - 1
     if a > b:
@@ -72,7 +75,8 @@ def _compile(patterns: Iterable[Pattern], size: int) -> tuple[int | None, Callab
     mask of the empty prefix and the gain ``gain(valset, w)``: the values
     that appending w to a prefix using the values ``valset`` newly
     forbids, to be OR-ed into its mask.  The start is None when the empty
-    pattern, which occurs in every word, is forbidden.
+    pattern, which occurs in every word, is forbidden.  Every mask is cut
+    to the letters [0, size), the only ones a sweep compiled so offers.
 
     A pattern abc gains occurrences with the new letter w as its middle
     when some earlier x stands to w as a to b; they forbid every future v
@@ -82,7 +86,7 @@ def _compile(patterns: Iterable[Pattern], size: int) -> tuple[int | None, Callab
     once every v that stands to w as b to a, and a one-letter pattern
     forbids every letter from the start.
     """
-    start = 0
+    start, low = 0, (1 << size) - 1
     after = [0] * size
     middle: list[list[tuple[int, int, int]]] = [[] for _ in range(size)]
     for p in patterns:
@@ -90,13 +94,13 @@ def _compile(patterns: Iterable[Pattern], size: int) -> tuple[int | None, Callab
         if len(d) == 3:
             a, b, c = d
             for w in range(size):
-                left, right = _stand(a, b, w), _stand(c, b, w)
+                left, right = _stand(a, b, w), _stand(c, b, w) & low
                 middle[w].append((left, right, (c > a) - (c < a)))
         elif len(d) == 2:
             for w in range(size):
-                after[w] |= _stand(d[1], d[0], w)
+                after[w] |= _stand(d[1], d[0], w) & low
         elif len(d) == 1:
-            start = -1
+            start = low
         elif not d:
             return None, None
         else:
@@ -131,24 +135,27 @@ def _require_size(what: str, size: int, bound: int | None = None) -> None:
 
 
 def _step(
-    level: dict, letters: int, gain: Callable, memo: dict, cover: int = 0, left: int = 0
+    level: dict, letters: int, width: int, gain: Callable, memo: dict, cover: int = 0, left: int = 0
 ) -> dict:
     """The next level: each state of ``level`` extended by each of ``letters``
     that its ``forb`` allows.
 
-    A level maps each state (valset, forb) of the prefixes of one length
-    to the number of prefixes in that state: the values used, and the
-    values that would complete a pattern.  Every pattern acts through
-    ``forb`` alone, so which letters may extend a prefix, and to which
-    state, depends on its state alone.  The new ``forb`` is the old one
-    OR ``gain(valset, w)``, which ``memo`` keeps as ``memo[valset][1 << w]``
-    for one pattern set.  Every letter of ``cover`` must occur: a state
-    missing more of them than the ``left`` positions still to fill is
-    dropped, and one missing exactly ``left`` extends only by those.
+    A level maps each state of the prefixes of one length to the number of
+    prefixes in it.  A state is one int, ``key = valset << width | forb``:
+    the values used and the values that would complete a pattern, both
+    below the compile size ``width``, so ``letters & ~key`` may extend it.
+    Every pattern acts through ``forb`` alone, so which letters may extend
+    a prefix, and to which state, depends on its state alone.  Appending w
+    ORs in ``memo[valset][1 << w]``: its bit and ``gain(valset, w)``,
+    shifted into place, for one pattern set.  Every letter of ``cover``
+    must occur: a state missing more of them than the ``left`` positions
+    still to fill is dropped, and one missing exactly ``left`` extends
+    only by those.
     """
-    nxt: dict[tuple[int, int], int] = {}
-    for (valset, forb), mult in level.items():
-        allowed = letters & ~forb
+    nxt: dict[int, int] = {}
+    for key, mult in level.items():
+        allowed = letters & ~key
+        valset = key >> width
         if cover:
             missing = cover & ~valset
             if missing.bit_count() > left:
@@ -159,27 +166,29 @@ def _step(
         while allowed:
             bit = allowed & -allowed
             allowed ^= bit
-            mask = row.get(bit)
-            if mask is None:
-                mask = row[bit] = gain(valset, bit.bit_length() - 1)
-            state = (valset | bit, forb | mask)
+            delta = row.get(bit)
+            if delta is None:
+                delta = row[bit] = bit << width | gain(valset, bit.bit_length() - 1)
+            state = key | delta
             nxt[state] = nxt.get(state, 0) + mult
     return nxt
 
 
-def _tally(level: dict, letters: int, cover: int = 0) -> int:
+def _tally(level: dict, letters: int, width: int = 0, cover: int = 0) -> int:
     """The number of words one letter longer than the prefixes of ``level``,
-    without building their level: a state adds its allowed letters, or only
-    its one missing letter of ``cover``, and nothing when two are missing."""
+    without building their level: a state (one int, as in ``_step``) adds its
+    allowed letters, or only its one missing letter of ``cover``, not two."""
+    if not cover:
+        return sum(mult * (letters & ~key).bit_count() for key, mult in level.items())
     return sum(
-        mult * (letters & ~forb & (cover & ~valset or letters)).bit_count()
-        for (valset, forb), mult in level.items()
-        if (cover & ~valset).bit_count() < 2
+        mult * (letters & ~key & (cover & ~(key >> width) or letters)).bit_count()
+        for key, mult in level.items()
+        if (cover & ~(key >> width)).bit_count() < 2
     )
 
 
-# The last pattern set's sweep (patterns, compile size, gain, its memo,
-# level, I_0..I_k); the level holds the prefixes of length max(k - 1, 0).
+# The last pattern set's sweep (patterns, width, gain, its memo, level,
+# I_0..I_k); the level holds the prefixes of length max(k - 1, 0).
 _SWEEP: list = [None] * 6
 
 
@@ -188,24 +197,23 @@ def count_avoiders(n: int, patterns: PatternSet, bound: int | None = None) -> in
 
     The last pattern set's sweep is kept, with the gains it has computed:
     a call steps its level on to length n - 1 and tallies I_n, and reads
-    a smaller n from the counts.  No mask depends on the compile size, so
-    compiling for more letters (at least the default bound's) keeps the
-    level and the gains.
+    a smaller n from the counts.  Its states are cut to its width, at least
+    the default bound; n past it restarts the sweep at width max(n, twice
+    the old), so n = 0, 1, 2, ... restarts seldom.
     """
     _require_size(f"n={n}", n, bound)
-    same, size, gain, memo, level, counts = _SWEEP
-    if same != patterns or n > size:
-        size = max(n, DEFAULT_BOUND)
-        start, gain = _compile(patterns, size)
-        if same != patterns:
-            level, memo = {} if start is None else {(0, start): 1}, {}
-            counts = [int(start is not None)]
+    same, width, gain, memo, level, counts = _SWEEP
+    if same != patterns or n > width:
+        width = max(n, DEFAULT_BOUND if same != patterns else 2 * width)
+        start, gain = _compile(patterns, width)
+        level, memo = {} if start is None else {start: 1}, {}
+        counts = [int(start is not None)]
     _SWEEP[:] = [None] * 6  # drop an old level now; a sweep cut short is not resumed
     for k in range(len(counts), n + 1):
         if k > 1:
-            level = _step(level, (1 << (k - 1)) - 1, gain, memo)
+            level = _step(level, (1 << (k - 1)) - 1, width, gain, memo)
         counts.append(_tally(level, (1 << k) - 1))
-    _SWEEP[:] = patterns, size, gain, memo, level, counts
+    _SWEEP[:] = patterns, width, gain, memo, level, counts
     return counts[n]
 
 
@@ -274,7 +282,7 @@ def count_words(constraint: WordConstraint) -> int:
     start, gain = _compile(constraint.forbidden, b + 1)
     if k == 0:
         return int(start is not None and not cover)
-    level, memo = {} if start is None else {(0, start): 1}, {}
+    level, memo = {} if start is None else {start: 1}, {}
     for pos in range(k - 1):
-        level = _step(level, alphabet, gain, memo, cover, k - pos)
-    return _tally(level, alphabet, cover)
+        level = _step(level, alphabet, b + 1, gain, memo, cover, k - pos)
+    return _tally(level, alphabet, b + 1, cover)

@@ -1,7 +1,29 @@
+import signal
 from functools import lru_cache
 from pathlib import Path
 
+import pytest
+
 from invseq.gentree import ClassId
+
+# A test still running after TIME_LIMIT_S fails with a TimeoutError that names
+# it, instead of hanging the suite; the error recurs every REPEAT_S after that,
+# so code that catches one (verify-all turns it into a FAIL line) still ends.
+TIME_LIMIT_S, REPEAT_S = 60, 5
+
+
+@pytest.fixture(autouse=True)
+def time_limit(request):
+    def expire(signum, frame):
+        raise TimeoutError(f"{request.node.nodeid} ran past its {TIME_LIMIT_S} s limit")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, TIME_LIMIT_S, REPEAT_S)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 # The census benchmark's references: sha256 digests of count_class(cid, d)
 # for d = 10, 20, ..., 210 and every class's growth fit at d = 210, recorded

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from invseq.core import (
     InversionSequence,
     Pattern,
+    PatternSet,
     Relation,
     RelationTriple,
     all_triples,
@@ -121,6 +122,18 @@ class TestTripleAvoidance:
         seq = InversionSequence(vals)
         t = data.draw(st.sampled_from(list(all_triples())))
         assert avoids_triple(seq, t) == avoids_all(seq, triple_to_pattern_set(t))
+
+    def test_pattern_set_is_the_filter_of_its_definition(self):
+        # the literal filter of the docstring, for every triple
+        for t in all_triples():
+            pats = frozenset(
+                p
+                for p in length3_patterns()
+                if t.rho1.holds(p.digits[0], p.digits[1])
+                and t.rho2.holds(p.digits[1], p.digits[2])
+                and t.rho3.holds(p.digits[0], p.digits[2])
+            )
+            assert triple_to_pattern_set(t) == PatternSet(pats), t
 
     def test_pattern_set_membership_is_containment(self):
         # a pattern is induced by a triple iff its digits satisfy the relations

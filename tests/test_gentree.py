@@ -163,22 +163,31 @@ class TestRule759Multiplicities:
             assert sum(jumps) == expected, p
 
 
+EVERY = (1, 1, 1)  # the label joins every census of depths 0..2
+
+
 @pytest.mark.parametrize(
-    "cid, label",  # per layout family, a label its depth-2 layout has no cell for
+    "cid, label, mults",  # per layout family, a label its layout has no cell for
     [
-        (ClassId.C1176, Label("a", (3,))),  # a maximum past the depth
-        (ClassId.C830, Label("t", (0, 1))),  # a premaximum above the maximum
-        (ClassId.C663A, Label("b", (3,))),  # a run past the depth
-        (ClassId.C759, Label("", (1, 2))),  # a cell past the triangle
-        (ClassId.C1509, Label("", (0, 2))),  # in the triangle, past its column's lagged depth 1
-        (ClassId.C733, Label("", (3, 0))),  # a cell past the triangle
+        (ClassId.C1176, Label("a", (3,)), EVERY),  # a maximum past the depth
+        (ClassId.C830, Label("t", (0, 1)), EVERY),  # a premaximum above the maximum
+        (ClassId.C663A, Label("b", (3,)), EVERY),  # a run past the depth
+        (ClassId.C759, Label("", (1, 2)), EVERY),  # a cell past the triangle
+        (ClassId.C1509, Label("", (0, 2)), EVERY),  # in the triangle, past its lagged depth 1
+        (ClassId.C733, Label("", (3, 0)), EVERY),  # a cell past the triangle
+        # in the triangle of the depth-2 census of depths 0..3, where column 2 is
+        # held, but with a tag 1509 has no cells for
+        (ClassId.C1509, Label("b", (0, 2)), (0, 0, 1, 0)),
     ],
-    ids=["1176", "830", "663A", "759", "1509", "733"],
+    ids=["1176", "830", "663A", "759", "1509", "733", "1509-held"],
 )
-def test_project_refuses_a_label_outside_the_layout(cid, label):
-    """The label joins every census of depths 0..2, so it is refused at the
-    depth where the layout holds its column."""
-    censuses = [{**label_census(cid, depth), label: 1} for depth in range(3)]
+def test_project_refuses_a_label_outside_the_layout(cid, label, mults):
+    """The label joins the census of each depth d with multiplicity mults[d],
+    so it is refused at the depth where the layout holds its column."""
+    censuses = [
+        {**label_census(cid, depth), label: m} if m else label_census(cid, depth)
+        for depth, m in enumerate(mults)
+    ]
     with pytest.raises(RuleError, match=re.escape(str(label))):
         rule_for(cid).project(censuses)
 

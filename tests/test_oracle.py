@@ -116,17 +116,32 @@ class TestResumedSweep:
             ps = sets[which % len(sets)]
             assert count_avoiders(n, ps, bound) == cached_brute_count(n, ps), (n, str(ps))
 
-    def test_resumes_past_the_default_bound(self):
+    @staticmethod
+    def _known(n_max):
         # I_n(000) is the up/down number E_{n+1} (Corteel, Martinez, Savage
         # and Weselcouch 2016), here by Seidel's boustrophedon
-        n_max, row, up_down = DEFAULT_BOUND + 3, [1], [1]
+        row, up_down = [1], [1]
         for _ in range(n_max + 1):
             row = list(itertools.accumulate(reversed(row), initial=0))
             up_down.append(row[-1])
-        expected = {"001": [1] + [2 ** (n - 1) for n in range(1, n_max + 1)], "000": up_down[1:]}
-        for pattern, counts in expected.items():
+        return {"001": [1] + [2 ** (n - 1) for n in range(1, n_max + 1)], "000": up_down[1:]}
+
+    def test_resumes_past_the_default_bound(self):
+        n_max = DEFAULT_BOUND + 3
+        for pattern, counts in self._known(n_max).items():
             ps = PatternSet.of(pattern)
             got = [count_avoiders(n, ps, bound=n_max) for n in range(n_max + 1)]
+            assert got == counts, pattern
+
+    def test_restarts_past_the_width(self):
+        # a sweep compiled at the default bound, then asked for more: its
+        # states are cut to that width, so it restarts at a wider one
+        n_max = DEFAULT_BOUND + 3
+        for pattern, counts in self._known(n_max).items():
+            ps = PatternSet.of(pattern)
+            count_avoiders(0, PatternSet.of())  # no sweep of ps to resume
+            got = [count_avoiders(n, ps) for n in range(DEFAULT_BOUND + 1)]
+            got += [count_avoiders(n, ps, bound=n_max) for n in range(DEFAULT_BOUND + 1, n_max + 1)]
             assert got == counts, pattern
 
 
