@@ -20,12 +20,13 @@ yields the next state together with the term of the depth it leaves;
 step forms instead of summing their whole grid.
 Each layout family states its state's layout once, in ``_layout``; from it
 ``project`` reads the fast state off the reference censuses, and the
-starting state is the projection of the root.  Each reference move is stated
-once: a family states the moves its classes share (the stays of
-``_LeftGrownRule``, the a-moves of ``_SingleRunRule``, the tag check of
-``_TwoGridRule``, the a/b moves of the 1176 family), every
-left-grown jump lands in ``_below(p)``, and each class states only what is
-its own.
+starting state is the projection of the root.  Each rule declares its
+counted labels once, as data, and ``counted`` and ``counted_total`` derive
+from it.  Each reference move is stated once: the right-grown rules share
+the tag check of ``_TaggedRule``, a family states the moves its classes
+share (the stays of ``_LeftGrownRule``, the a-moves of ``_SingleRunRule``,
+the a/b moves of the 1176 family), every left-grown jump lands in
+``_below(p)``, and each class states only what is its own.
 The steppers of 663A, 1420 and the 1176 family keep one list per tag; 733
 and 1833A keep the row sums and the s = 0 column of their (p, s) grid.
 These take O(levels) big-integer additions per step.  The seven grid rules
@@ -150,13 +151,13 @@ class RuleError(RuntimeError):
 
 class SuccessionRule:
     """Base: ``root`` and ``counted`` (the label (0, 0) and every label,
-    unless the rule overrides them), ``expand(label, depth)``, the children
-    of a label of a sequence of length depth, and ``step_census``, the
-    reference step on ``{Label: count}`` censuses.  Every rule adds
-    ``counted_total`` on its own compact state, and its family the layout of
-    that state, ``_layout(take, depth)``: the state at depth, built by asking
-    ``take(label, at)`` for every cell's count at depth ``at`` (by default,
-    depth).
+    unless a family derives them from its declared labels), ``expand(label,
+    depth)``, the children of a label of a sequence of length depth, and
+    ``step_census``, the reference step on ``{Label: count}`` censuses.
+    Every rule adds ``counted_total`` on its own compact state, and its
+    family the layout of that state, ``_layout(take, depth)``: the state at
+    depth, built by asking ``take(label, at)`` for every cell's count at
+    depth ``at`` (by default, depth).
 
     ``step_state(state, depth)`` yields the pair (the state at depth + 1,
     the counted total of ``state`` at depth).  By default it sums the
@@ -168,20 +169,20 @@ class SuccessionRule:
     class_id: ClassId
 
     def root(self) -> Label:
-        return Label("", (0, 0))  # the (p, s) rules keep it
+        return Label("", (0, 0))
 
     def expand(self, label: Label, depth: int) -> Iterator[tuple[Label, int]]:
         raise NotImplementedError
 
     def counted(self, label: Label) -> bool:
-        return True  # rules whose tree carries phantom labels override this
+        return True
 
     def step_census(self, census: dict[Label, int], depth: int) -> dict[Label, int]:
         new: dict[Label, int] = {}
         for label, cnt in census.items():
             for child, mult in self.expand(label, depth):
                 if mult < 1:
-                    raise RuleError(f"{self.class_id}: bad multiplicity for {child}")
+                    raise RuleError(f"{self.class_id.value}: bad multiplicity for {child}")
                 new[child] = new.get(child, 0) + cnt * mult
         return new
 
@@ -222,27 +223,55 @@ class SuccessionRule:
 # ---------------------------------------------------------------------------
 
 
-class _Rule1176Family(SuccessionRule):
+class _TaggedRule(SuccessionRule):
+    """Right-grown labels (params)_tag, tag one of ``tags``, counted when it
+    is one of ``counted_tags`` (by default every tag); the root is the first
+    tag with ``_arity`` zero parameters.  ``expand`` checks the tag, and a
+    family states the children of a label of a length-n sequence in
+    ``_moves(tag, n, *params)``.  The fast state of the one-parameter
+    families is one list per tag, indexed by the parameter, of length
+    depth + 1; ``_TwoGridRule`` keeps a grid per tag instead."""
+
+    tags: tuple[str, ...]
+    _arity = 1
+
+    @property
+    def counted_tags(self) -> tuple[str, ...]:
+        return self.tags
+
+    def root(self) -> Label:
+        return Label(self.tags[0], (0,) * self._arity)
+
+    def counted(self, label: Label) -> bool:
+        return label.tag in self.counted_tags
+
+    def expand(self, label: Label, depth: int) -> Iterator[tuple[Label, int]]:
+        if label.tag not in self.tags:
+            raise RuleError(f"{self.class_id.value}: unknown tag {label.tag!r}")
+        return self._moves(label.tag, depth, *label.params)
+
+    def _layout(self, take, depth: int):
+        return tuple([take(Label(tag, (k,))) for k in range(depth + 1)] for tag in self.tags)
+
+    def counted_total(self, state) -> int:
+        return sum(sum(xs) for tag, xs in zip(self.tags, state) if tag in self.counted_tags)
+
+
+class _Rule1176Family(_TaggedRule):
     """Classes 1176, 1253 and 1016 share the a/b skeleton.
 
     Tag a: non-decreasing, ending on h.
     Tags b, c, d track how much of a 101 pattern (max, premax, max) has
     occurred; tag e covers the strictly-descending (or single-value) tail.
-    b and c label phantom objects and are never counted.  The a and b moves
-    are shared; each class states its own c, d and e moves in
-    ``_moves(tag, k)``, the children of the label (k)_tag.
+    b and c label phantom objects and are never counted.  ``_moves`` states
+    the shared a and b moves; each class states its own c, d and e moves in
+    ``_cde_moves(tag, k)``, the children of the label (k)_tag.
     """
 
-    def root(self) -> Label:
-        return Label("a", (0,))
+    tags, counted_tags = tuple("abcde"), tuple("ade")
 
-    def counted(self, label: Label) -> bool:
-        return label.tag in ("a", "d", "e")
-
-    def expand(self, label: Label, depth: int) -> Iterator[tuple[Label, int]]:
-        tag = label.tag
+    def _moves(self, tag: str, depth: int, h: int) -> Iterator[tuple[Label, int]]:
         if tag == "a":
-            (h,) = label.params
             for i in range(h, depth + 1):
                 yield Label("a", (i,)), 1
             for i in range(h, depth):
@@ -250,29 +279,19 @@ class _Rule1176Family(SuccessionRule):
             for i in range(h):
                 yield Label("e", (i,)), 1
         elif tag == "b":
-            yield Label("b", label.params), 1
-            yield Label("c", label.params), 1
-        elif tag in ("c", "d", "e"):
-            yield from self._moves(tag, *label.params)
+            yield Label("b", (h,)), 1
+            yield Label("c", (h,)), 1
         else:
-            raise RuleError(f"unknown tag {tag!r}")
+            yield from self._cde_moves(tag, h)
 
-    # fast path: five coefficient lists indexed by the label parameter, each
-    # of length depth + 1; a step appends one index.  The a and b lists step
-    # alike in all three classes, the c, d and e lists in each subclass.
-
-    def _layout(self, take, depth: int):
-        return tuple([take(Label(tag, (k,))) for k in range(depth + 1)] for tag in "abcde")
+    # fast path: a step appends one index to each of the five lists.  The a
+    # and b lists step alike in all three classes, the c, d and e in each.
 
     @staticmethod
     def _step_ab(a, b, depth: int):
         pref_a = list(accumulate(a))  # sum_{h <= k} a[h]
         new_b = [bk + (depth - k) * pk for k, (bk, pk) in enumerate(zip(b, pref_a))]
         return pref_a + [0], new_b + [0]
-
-    def counted_total(self, state) -> int:
-        a, b, c, d, e = state
-        return sum(a) + sum(d) + sum(e)
 
 
 def _strict_suffix_sums(xs: list[int]) -> list[int]:
@@ -284,7 +303,7 @@ def _strict_suffix_sums(xs: list[int]) -> list[int]:
 class Rule1176(_Rule1176Family):
     class_id = ClassId.C1176
 
-    def _moves(self, tag: str, k: int) -> Iterator[tuple[Label, int]]:
+    def _cde_moves(self, tag: str, k: int) -> Iterator[tuple[Label, int]]:
         if tag in ("c", "d"):
             yield Label("d", (k,)), 1
         if tag in ("d", "e"):
@@ -302,7 +321,7 @@ class Rule1176(_Rule1176Family):
 class Rule1253(_Rule1176Family):
     class_id = ClassId.C1253
 
-    def _moves(self, tag: str, k: int) -> Iterator[tuple[Label, int]]:
+    def _cde_moves(self, tag: str, k: int) -> Iterator[tuple[Label, int]]:
         if tag == "c":
             yield Label("c", (k,)), 1
             yield Label("d", (k,)), 1
@@ -323,7 +342,7 @@ class Rule1253(_Rule1176Family):
 class Rule1016(_Rule1176Family):
     class_id = ClassId.C1016
 
-    def _moves(self, tag: str, k: int) -> Iterator[tuple[Label, int]]:
+    def _cde_moves(self, tag: str, k: int) -> Iterator[tuple[Label, int]]:
         if tag != "e":  # e-labels are leaves
             yield Label("d", (k,)), 1
 
@@ -334,22 +353,13 @@ class Rule1016(_Rule1176Family):
         return (new_a, new_b, b + [0], new_d, _strict_suffix_sums(a) + [0])
 
 
-class _TwoGridRule(SuccessionRule):
+class _TwoGridRule(_TaggedRule):
     """Right-grown rules labelled (h, k) under one of two tags, all counted,
-    with k <= h.  ``expand`` checks the tag, and each class states the
-    children of a label of a length-n sequence in ``_moves(tag, n, h, k)``.
+    with k <= h; each class states its moves in ``_moves(tag, n, h, k)``.
     The fast state is one grid per tag, whose row h holds k = 0..h, for
     h = 0..depth."""
 
-    tags: str  # the two tag letters; the root carries the first
-
-    def root(self) -> Label:
-        return Label(self.tags[0], (0, 0))
-
-    def expand(self, label: Label, depth: int) -> Iterator[tuple[Label, int]]:
-        if label.tag not in self.tags:
-            raise RuleError(f"unknown tag {label.tag!r}")
-        return self._moves(label.tag, depth, *label.params)
+    _arity = 2
 
     def _layout(self, take, depth: int):
         return tuple(
@@ -366,7 +376,7 @@ class Rule830(_TwoGridRule):
     tag t on the premaximum.  All-zero sequences take k = 0."""
 
     class_id = ClassId.C830
-    tags = "st"
+    tags = tuple("st")
 
     def _moves(self, tag: str, n: int, h: int, k: int) -> Iterator[tuple[Label, int]]:
         yield Label("s", (h, k)), 1
@@ -401,7 +411,7 @@ class Rule2106(_TwoGridRule):
     tag p ends on the maximum, tag q strictly below it."""
 
     class_id = ClassId.C2106
-    tags = "pq"
+    tags = tuple("pq")
 
     def _moves(self, tag: str, n: int, h: int, k: int) -> Iterator[tuple[Label, int]]:
         first = h if tag == "p" else h + 1  # the least new maximum
@@ -480,7 +490,8 @@ class _LeftGrownRule(SuccessionRule):
     """214, 1509, and 759 and 247 as ``_CommitmentRule``: left-grown labels
     (p, s) that stay as (p + 1, s), and also as (p + 1, s - 1) when s > 0,
     and, when s < ``counted_cols``, add the class's ``_jumps(p, s)`` to rows
-    at most p.  The counted labels have s < counted_cols, p < counted_rows.
+    at most p.  The counted labels are the window s < counted_cols,
+    p < counted_rows (any p when that is None).
     Column s reaches a counted column lag(s) = max(0, s - counted_cols + 1)
     steps later, so the fast state at depth d holds it at its own depth
     d - lag(s), cols[s][p] for p = 0..d - lag(s) - s, with pending[s][p - 1]
@@ -502,6 +513,10 @@ class _LeftGrownRule(SuccessionRule):
         if s > 0:
             yield Label("", (p + 1, s - 1)), 1
         yield from self._jumps(p, s)
+
+    def counted(self, label: Label) -> bool:
+        p, s = label.params
+        return s < self.counted_cols and (self.counted_rows is None or p < self.counted_rows)
 
     def _lag(self, s: int) -> int:
         return max(0, s - self.counted_cols + 1)
@@ -561,6 +576,9 @@ class _ResetRule(SuccessionRule):
 
     counted_vector: int  # 0: r, every label counted; 1: z, those with s = 0
 
+    def counted(self, label: Label) -> bool:
+        return self.counted_vector == 0 or label.params[1] == 0
+
     def expand(self, label: Label, depth: int) -> Iterator[tuple[Label, int]]:
         p, s = label.params
         yield Label("", (p + 1, s)), 1
@@ -603,17 +621,10 @@ class Rule733(_ResetRule):
     class_id = ClassId.C733
     counted_vector = 1
 
-    def counted(self, label: Label) -> bool:
-        return label.params[1] == 0
-
 
 class Rule214(_LeftGrownRule):
     class_id = ClassId.C214
     counted_rows, counted_cols = 3, 1
-
-    def counted(self, label: Label) -> bool:
-        p, s = label.params
-        return s == 0 and p <= 2
 
     def _jumps(self, p: int, s: int) -> Iterator[tuple[Label, int]]:
         if s == 0:  # to the two outer anti-diagonals p' + k in {p - 1, p}
@@ -626,9 +637,6 @@ class Rule214(_LeftGrownRule):
 class Rule1509(_LeftGrownRule):
     class_id = ClassId.C1509
     counted_cols = 2
-
-    def counted(self, label: Label) -> bool:
-        return label.params[1] <= 1
 
     def _jumps(self, p: int, s: int) -> Iterator[tuple[Label, int]]:
         if s <= 1:
@@ -698,9 +706,6 @@ class Rule759(_CommitmentRule):
     multiplicity = staticmethod(multiplicity_m)
     next_col = staticmethod(_suffix_sums)
 
-    def counted(self, label: Label) -> bool:
-        return label.params[1] == 0
-
 
 class Rule247(_CommitmentRule):
     """As 759 with at most one repeat per commitment letter; jump
@@ -713,44 +718,32 @@ class Rule247(_CommitmentRule):
     multiplicity = staticmethod(multiplicity_w)
     next_col = staticmethod(_pair_sums)
 
-    def counted(self, label: Label) -> bool:
-        p, c = label.params
-        return c == 0 and p <= 2
 
-
-class _SingleRunRule(SuccessionRule):
+class _SingleRunRule(_TaggedRule):
     """Classes 663A and 1420: labels (p)_a / (p)_b with p the zero prefix.
 
     An a-label (p) makes a(k) for k = 1..p + 1 and b(l) for l = 1..p - 1 in
     both classes; each class states the moves of a b-label in ``_b_moves``.
-    The fast state is two lists a[p], b[p] of length depth + 1.  A label
-    sends mass to a whole range of p, so one suffix sum per step suffices.
+    The fast state is the two lists a[p], b[p] of ``_TaggedRule._layout``.
+    A label sends mass to a whole range of p, so one suffix sum per step
+    suffices.
     """
 
-    def root(self) -> Label:
-        return Label("a", (0,))
+    tags = tuple("ab")
 
-    def expand(self, label: Label, depth: int) -> Iterator[tuple[Label, int]]:
-        (p,) = label.params
-        if label.tag == "a":
+    def _moves(self, tag: str, depth: int, p: int) -> Iterator[tuple[Label, int]]:
+        if tag == "a":
             for k in range(1, p + 2):
                 yield Label("a", (k,)), 1
             for ell in range(1, p):
                 yield Label("b", (ell,)), 1
-        elif label.tag == "b":
-            yield from self._b_moves(p)
         else:
-            raise RuleError(f"unknown tag {label.tag!r}")
-
-    def _layout(self, take, depth: int):
-        return tuple([take(Label(tag, (p,))) for p in range(depth + 1)] for tag in "ab")
+            yield from self._b_moves(p)
 
 
 class Rule663A(_SingleRunRule):
     class_id = ClassId.C663A
-
-    def counted(self, label: Label) -> bool:
-        return label.tag == "a"
+    counted_tags = ("a",)
 
     def _b_moves(self, p: int) -> Iterator[tuple[Label, int]]:
         yield Label("a", (p + 1,)), 1
@@ -762,9 +755,6 @@ class Rule663A(_SingleRunRule):
         a, b = state
         suf = _suffix_sums(a)
         return ([0, *map(add, suf, b)], [0, *map(add, suf[2:] + [0, 0], b)])
-
-    def counted_total(self, state) -> int:
-        return sum(state[0])
 
 
 class Rule1420(_SingleRunRule):
@@ -781,9 +771,6 @@ class Rule1420(_SingleRunRule):
         a, b = state
         suf = _suffix_sums(list(map(add, a, b)))
         return ([0, *suf], [0, *map(add, suf[2:] + [0, 0], b)])
-
-    def counted_total(self, state) -> int:
-        return sum(state[0]) + sum(state[1])
 
 
 _RULES: dict[ClassId, SuccessionRule] = {

@@ -148,20 +148,17 @@ def _step(
     a prefix, and to which state, depends on its state alone.  Appending w
     ORs in ``memo[valset][1 << w]``: its bit and ``gain(valset, w)``,
     shifted into place, for one pattern set.  Every letter of ``cover``
-    must occur: a state missing more of them than the ``left`` positions
-    still to fill is dropped, and one missing exactly ``left`` extends
-    only by those.
+    must occur: a state missing exactly ``left`` of them, the positions
+    still to fill, extends only by those.  The first level misses at most
+    its ``left`` (surjective words need b <= k), so by induction no state
+    ever misses more.
     """
     nxt: dict[int, int] = {}
     for key, mult in level.items():
         allowed = letters & ~key
         valset = key >> width
-        if cover:
-            missing = cover & ~valset
-            if missing.bit_count() > left:
-                continue
-            if missing.bit_count() == left:
-                allowed &= missing
+        if cover and (missing := cover & ~valset).bit_count() == left:
+            allowed &= missing
         row = memo.setdefault(valset, {})
         while allowed:
             bit = allowed & -allowed
@@ -177,13 +174,13 @@ def _step(
 def _tally(level: dict, letters: int, width: int = 0, cover: int = 0) -> int:
     """The number of words one letter longer than the prefixes of ``level``,
     without building their level: a state (one int, as in ``_step``) adds its
-    allowed letters, or only its one missing letter of ``cover``, not two."""
+    allowed letters, or only its one missing letter of ``cover`` (``_step``
+    leaves no state of the last level missing two)."""
     if not cover:
         return sum(mult * (letters & ~key).bit_count() for key, mult in level.items())
     return sum(
         mult * (letters & ~key & (cover & ~(key >> width) or letters)).bit_count()
         for key, mult in level.items()
-        if (cover & ~(key >> width)).bit_count() < 2
     )
 
 

@@ -45,7 +45,7 @@ class QSqrt5:
 
     __slots__ = ("A", "B", "D")
 
-    def __init__(self, a=0, b=0):
+    def __init__(self, a, b=0):
         d = lcm(a.denominator, b.denominator)  # a, b: int or Fraction
         self.A, self.B, self.D = (a * d).numerator, (b * d).numerator, d
 

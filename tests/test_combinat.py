@@ -30,6 +30,7 @@ class TestSupport:
         assert words_R1R3(5, 2) == 0  # each letter at most twice
         assert multiplicity_m(3, 5) == 0
         assert multiplicity_w(7, 2) == 0
+        assert multiplicity_w(2, 3) == 0  # b > ell, where math.comb would raise
 
 
 class TestIdentities:

@@ -73,6 +73,8 @@ class TestPattern:
             Pattern.parse("031")
         with pytest.raises(ValueError):
             Pattern.parse("12")
+        with pytest.raises(ValueError, match="nonnegative"):
+            Pattern((-1, 0))
 
     @pytest.mark.parametrize("text", ["0a1", "-1", "0,1", "0²"])
     def test_rejects_non_digits_naming_the_pattern(self, text):

@@ -217,6 +217,39 @@ def test_no_rule_method_branches_on_its_class():
     assert branches == []
 
 
+def test_no_rule_class_defines_counted_or_root():
+    """Each family derives ``counted`` and ``root`` from its declared labels,
+    so no concrete ``Rule*`` class defines either."""
+    tree = ast.parse(Path(gentree.__file__).read_text())
+    defined = [
+        f"{node.name}.{item.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and node.name.startswith("Rule")
+        for item in node.body
+        if isinstance(item, ast.FunctionDef) and item.name in ("counted", "root")
+    ]
+    assert defined == []
+
+
+@pytest.mark.parametrize("tag", ["z", ""])
+@pytest.mark.parametrize(
+    "cid, params", [(ClassId.C1176, (0,)), (ClassId.C663A, (0,)), (ClassId.C830, (0, 0))],
+    ids=["1176", "663A", "830"],
+)
+def test_expand_refuses_an_unknown_tag(cid, params, tag):
+    """The empty tag too: it is no tag of a right-grown rule, though it is a
+    substring of every tag string."""
+    with pytest.raises(RuleError, match=f"{cid.value}: unknown tag {tag!r}"):
+        list(rule_for(cid).expand(Label(tag, params), 1))
+
+
+def test_step_census_refuses_a_multiplicity_below_one(monkeypatch):
+    monkeypatch.setattr(gentree.Rule214, "expand", lambda self, label, depth: iter([(label, 0)]))
+    rule = rule_for(ClassId.C214)
+    with pytest.raises(RuleError, match="214: bad multiplicity for"):
+        rule.step_census({rule.root(): 1}, 0)
+
+
 class TestErrors:
     def test_negative_depth(self):
         with pytest.raises(ValueError):

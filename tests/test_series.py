@@ -70,6 +70,13 @@ class TestQSqrt5:
         assert repr(QSqrt5(Fraction(1, 2)) * 2) == "QSqrt5(1, 0)"
         assert not QSqrt5(Fraction(1, 2), 1) * 0 and QSqrt5(Fraction(1, 2)) * 2
 
+    def test_foreign_operand(self):
+        with pytest.raises(TypeError):
+            self.x + "1"
+        with pytest.raises(TypeError):
+            self.x * 1.5
+        assert (self.x == "x") is False
+
 
 def _all_ints(coeffs):
     return all(type(c) is int for c in coeffs)
@@ -94,6 +101,10 @@ class TestTruncatedSeries:
     def test_shift_down_past_a_nonzero_coefficient_is_refused(self):
         with pytest.raises(ValueError, match="cannot shift by -1: low-order coefficients nonzero"):
             TruncatedSeries([1, 1], 4).shift(-1)
+
+    def test_repr_elides_past_eight_coefficients(self):
+        assert "..." not in repr(TruncatedSeries([1, 2], 8))
+        assert repr(TruncatedSeries([1, 2], 9)).count("...") == 1
 
     def test_order_zero_is_refused(self):
         with pytest.raises(ValueError, match="order must be at least 1"):
